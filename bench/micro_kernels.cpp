@@ -347,7 +347,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       benchmark::DoNotOptimize(out.mean.data());
     });
     record("moment_act_fused_b64_f32", [&] {
-      MeanVarF out = moment_linear_act(inputf, wf, w2f, bf, 0.9, f);
+      MeanVarF out = moment_linear_act(inputf, wf, bf, 0.9, f);
       benchmark::DoNotOptimize(out.mean.data());
     });
     DenseLayer dense;

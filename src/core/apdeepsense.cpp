@@ -51,12 +51,10 @@ const ApDeepSense::F32Pack& ApDeepSense::f32_pack() const {
     const std::size_t layers = mlp_->num_layers();
     F32Pack& pack = f32_pack_storage_;
     pack.weight.reserve(layers);
-    pack.weight_sq.reserve(layers);
     pack.bias.reserve(layers);
     for (std::size_t l = 0; l < layers; ++l) {
       const DenseLayer& layer = mlp_->layer(l);
       pack.weight.push_back(to_f32(layer.weight));
-      pack.weight_sq.push_back(to_f32(square(layer.weight)));
       pack.bias.push_back(to_f32(layer.bias));
     }
   });
@@ -72,7 +70,6 @@ const ApDeepSense::I8Pack& ApDeepSense::i8_pack() const {
       pack.hidden.push_back(quantize_dense_layer(mlp_->layer(l)));
     const DenseLayer& last = mlp_->layer(layers - 1);
     pack.final_weight = to_f32(last.weight);
-    pack.final_weight_sq = to_f32(square(last.weight));
     pack.final_bias = to_f32(last.bias);
   });
   return i8_pack_storage_;
@@ -135,8 +132,8 @@ MeanVar ApDeepSense::propagate_f32(const MeanVar& input) const {
     obs::FlightLayerTimer layer_timer;
     TraceSpan span("apd.layer");
     if (span.active()) span.set_args(layer_span_args(l, layer));
-    h = moment_linear_act(h, pack.weight[l], pack.weight_sq[l], pack.bias[l],
-                          layer.keep_prob, surrogates_[l]);
+    h = moment_linear_act(h, pack.weight[l], pack.bias[l], layer.keep_prob,
+                          surrogates_[l]);
     APDS_MOMENT_CONTRACT(h, "apd.propagate_f32 layer output");
   }
   return to_f64(h);
@@ -163,8 +160,8 @@ MeanVar ApDeepSense::propagate_i8(const MeanVar& input) const {
       h = moment_linear_act(h, pack.hidden[l], layer.keep_prob,
                             surrogates_[l]);
     } else {
-      h = moment_linear_act(h, pack.final_weight, pack.final_weight_sq,
-                            pack.final_bias, layer.keep_prob, surrogates_[l]);
+      h = moment_linear_act(h, pack.final_weight, pack.final_bias,
+                            layer.keep_prob, surrogates_[l]);
     }
     APDS_MOMENT_CONTRACT(h, "apd.propagate_i8 layer output");
   }

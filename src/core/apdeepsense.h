@@ -77,23 +77,23 @@ class ApDeepSense {
   const PiecewiseLinear& surrogate(std::size_t l) const;
 
  private:
-  /// f32 fast-path pack: single-precision copies of W, W∘W and b per
-  /// layer, so propagate() at kF32 never converts weights per call.
-  /// weight_sq is squared in f64 then narrowed — one rounding, not two.
+  /// f32 fast-path pack: single-precision copies of W and b per layer, so
+  /// propagate() at kF32 never converts weights per call. There is no W∘W
+  /// pack: the fused tile squares the narrowed W in-kernel, so each
+  /// variance term uses fl32(fl32(w)^2).
   struct F32Pack {
     std::vector<MatrixF> weight;
-    std::vector<MatrixF> weight_sq;
     std::vector<MatrixF> bias;
   };
 
   /// i8 pack: hidden layers carry symmetric per-output-channel quantized
   /// W / W∘W + f32 bias; the final layer — the moment head that reports
   /// the predictive distribution — stays f32 (quantizing it costs
-  /// calibration for ~no latency, it is one layer out of L).
+  /// calibration for ~no latency, it is one layer out of L) and, like
+  /// F32Pack, keeps no W∘W.
   struct I8Pack {
     std::vector<QuantizedDenseLayer> hidden;  ///< layers 0 .. L-2
     MatrixF final_weight;
-    MatrixF final_weight_sq;
     MatrixF final_bias;
   };
 

@@ -63,13 +63,12 @@ void InferenceSession::build(const Mlp& mlp) {
   // to the legacy propagate entry points.
   switch (config_.precision) {
     case Precision::kF32:
+      // No W∘W pack: the fused f32 tile squares W in-kernel.
       w32_.reserve(layers);
-      wsq32_.reserve(layers);
       b32_.reserve(layers);
       for (std::size_t l = 0; l < layers; ++l) {
         const DenseLayer& layer = mlp.layer(l);
         w32_.push_back(to_f32(layer.weight));
-        wsq32_.push_back(to_f32(square(layer.weight)));
         b32_.push_back(to_f32(layer.bias));
       }
       break;
@@ -81,7 +80,6 @@ void InferenceSession::build(const Mlp& mlp) {
       }
       const DenseLayer& last = mlp.layer(layers - 1);
       final_w32_ = to_f32(last.weight);
-      final_wsq32_ = to_f32(square(last.weight));
       final_b32_ = to_f32(last.bias);
       break;
     }
@@ -110,14 +108,13 @@ void InferenceSession::build(const Mlp& mlp) {
   for (const Matrix& m : wsq64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : b64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const MatrixF& m : w32_) weight_bytes_ += matrix_bytes(m.size(), 4);
-  for (const MatrixF& m : wsq32_) weight_bytes_ += matrix_bytes(m.size(), 4);
   for (const MatrixF& m : b32_) weight_bytes_ += matrix_bytes(m.size(), 4);
   for (const QuantizedDenseLayer& q : qlayers_)
     weight_bytes_ += q.weight.data.size() + q.weight_sq.data.size() +
                      (q.weight.scale.size() + q.weight_sq.scale.size()) * 4 +
                      matrix_bytes(q.bias.size(), 4);
-  weight_bytes_ += matrix_bytes(
-      final_w32_.size() + final_wsq32_.size() + final_b32_.size(), 4);
+  weight_bytes_ +=
+      matrix_bytes(final_w32_.size() + final_b32_.size(), 4);
 
   // Eagerly plan + back the arena for this thread when the caller declared
   // a batch capacity up front; first propagate is then already steady.
@@ -333,9 +330,9 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
                     ",\"out\":" + std::to_string(dims_[l + 1]) +
                     ",\"act\":\"" + act_names_[l] + "\"");
     moment_linear_act_into(cm, cv, batch, dims_[l], w32_[l].data(),
-                           wsq32_[l].data(), b32_[l].data(), dims_[l + 1],
-                           keep_probs_[l], surrogates_[l],
-                           pwl_packs_[l].view(), scratch, om, ov);
+                           b32_[l].data(), dims_[l + 1], keep_probs_[l],
+                           surrogates_[l], pwl_packs_[l].view(), scratch, om,
+                           ov);
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate_f32 layer output");
     cm = om;
@@ -387,9 +384,9 @@ void InferenceSession::propagate_i8(const MeanVar& input, MeanVar& out,
                              pwl_packs_[l].view(), scratch, om, ov);
     } else {
       moment_linear_act_into(cm, cv, batch, dims_[l], final_w32_.data(),
-                             final_wsq32_.data(), final_b32_.data(),
-                             dims_[l + 1], keep_probs_[l], surrogates_[l],
-                             pwl_packs_[l].view(), scratch, om, ov);
+                             final_b32_.data(), dims_[l + 1], keep_probs_[l],
+                             surrogates_[l], pwl_packs_[l].view(), scratch,
+                             om, ov);
     }
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate_i8 layer output");

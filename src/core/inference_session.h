@@ -2,13 +2,14 @@
 // one precision, with fully planned memory (onnxruntime core/session-style).
 //
 // Construction walks the layer sequence once: it packs the weights for the
-// configured precision (f64 W/W∘W, f32 narrowed pack, or i8 symmetric
-// per-channel quantized hidden layers + f32 moment head), resolves the PWL
-// activation surrogates and their kernel packing, and derives the arena
-// layout — every intermediate buffer's shape (post-GEMM moments, fused-tile
-// spill, activation outputs, quantized activation rows) becomes an offset
-// into one contiguous per-(session, thread) arena, with ping-pong parity
-// reuse so two layer buffers back the whole depth. Steady-state
+// configured precision (f64 W/W∘W, f32 narrowed W only — the fused tile
+// squares it in-kernel — or i8 symmetric per-channel quantized hidden
+// layers + f32 moment head), resolves the PWL activation surrogates and
+// their kernel packing, and derives the arena layout — every intermediate
+// buffer's shape (post-GEMM moments, fused-tile spill, activation outputs,
+// quantized activation rows) becomes an offset into one contiguous
+// per-(session, thread) arena, with ping-pong parity reuse so two layer
+// buffers back the whole depth. Steady-state
 // propagate() therefore performs ZERO heap allocations: it hands out arena
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
@@ -152,9 +153,9 @@ class InferenceSession {
   // Exactly one precision's pack is populated (sessions are per-precision;
   // an estimator that serves several precisions holds several sessions).
   std::vector<Matrix> w64_, wsq64_, b64_;
-  std::vector<MatrixF> w32_, wsq32_, b32_;
+  std::vector<MatrixF> w32_, b32_;
   std::vector<QuantizedDenseLayer> qlayers_;  ///< i8 hidden layers
-  MatrixF final_w32_, final_wsq32_, final_b32_;  ///< i8 f32 moment head
+  MatrixF final_w32_, final_b32_;  ///< i8 f32 moment head
 
   std::size_t weight_bytes_ = 0;
   mutable std::atomic<std::uint64_t> epoch_{1};  ///< bumped by trim()

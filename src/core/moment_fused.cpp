@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/logging.h"
 #include "core/arena.h"
 #include "core/moment_activation.h"
 #include "core/moment_contract.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/thread_pool.h"
 #include "tensor/ops.h"
@@ -41,7 +39,7 @@ void prep_inputs(const float* mu, const float* var, std::size_t count,
 /// moments spill to the output. Work units are (row-block, column-tile)
 /// pairs with fixed block boundaries, so the per-element arithmetic — and
 /// therefore the result — is independent of the thread count. The row
-/// blocking exists for weight reuse: the moment kernel streams each W/Wsq
+/// blocking exists for weight reuse: the moment kernel streams each W
 /// slice once per block instead of once per batch row. The caller supplies
 /// the packed PWL view so a session can hoist pack_pwl to load time.
 template <typename MomentTileFn>
@@ -131,10 +129,9 @@ QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer) {
 
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
-                            const float* weight, const float* weight_sq,
-                            const float* bias, std::size_t n,
-                            double keep_prob, const PiecewiseLinear& f,
-                            const PwlView& view,
+                            const float* weight, const float* bias,
+                            std::size_t n, double keep_prob,
+                            const PiecewiseLinear& f, const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var) {
   APDS_TRACE_SCOPE("core.moment_linear_act");
@@ -146,8 +143,8 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
   fused_tiles(out_mean, out_var, f, view, ops, batch, n, kdim,
               [&](std::size_t r0, std::size_t r1, std::size_t j0,
                   std::size_t j1, float* tmean, float* tvar) {
-                ops.moment_tile_f32(sm, vi, weight, weight_sq, bias, kdim, n,
-                                    r0, r1, j0, j1, tmean, tvar);
+                ops.moment_tile_f32(sm, vi, weight, bias, kdim, n, r0, r1, j0,
+                                    j1, tmean, tvar);
               });
   APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * n, n,
                            "core.moment_linear_act output");
@@ -198,10 +195,9 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
 }
 
 MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& weight_sq, const MatrixF& bias,
-                           double keep_prob, const PiecewiseLinear& f) {
+                           const MatrixF& bias, double keep_prob,
+                           const PiecewiseLinear& f) {
   APDS_CHECK_MSG(input.dim() == weight.rows(), "moment_linear_act: input dim");
-  APDS_CHECK_MSG(weight_sq.same_shape(weight), "moment_linear_act: weight_sq");
   // The kernels index bias[j] for j up to weight.cols(); check here so a
   // short bias fails like the unfused path's add_row_broadcast instead of
   // reading out of bounds.
@@ -215,26 +211,10 @@ MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
   const FusedScratchView scratch =
       legacy_scratch(batch, kdim, /*with_i8=*/false);
   moment_linear_act_into(input.mean.data(), input.var.data(), batch, kdim,
-                         weight.data(), weight_sq.data(), bias.data(),
-                         weight.cols(), keep_prob, f, pack.view(), scratch,
-                         out.mean.data(), out.var.data());
+                         weight.data(), bias.data(), weight.cols(), keep_prob,
+                         f, pack.view(), scratch, out.mean.data(),
+                         out.var.data());
   return out;
-}
-
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& bias, double keep_prob,
-                           const PiecewiseLinear& f) {
-#ifndef NDEBUG
-  // Same hot-path tripwire as the unfused convenience overload: repeated
-  // callers must precompute square(weight).
-  MetricsRegistry::instance()
-      .counter("moment_linear.weight_sq_recompute")
-      .increment();
-  APDS_DEBUG("moment_linear_act: recomputing square(weight) ("
-             << weight.rows() << "x" << weight.cols()
-             << "); repeated callers should precompute weight_sq");
-#endif
-  return moment_linear_act(input, weight, square(weight), bias, keep_prob, f);
 }
 
 MeanVarF moment_linear_act(const MeanVarF& input,

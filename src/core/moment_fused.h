@@ -8,7 +8,9 @@
 // buffers (one k-pass accumulating the W and W∘W products together),
 // applies the piece-major activation-moment tile while the values are
 // still in registers/L1, and only then spills the POST-activation moments
-// to the output matrix. The intermediate matrices never exist.
+// to the output matrix. The intermediate matrices never exist. The f32
+// path keeps no W∘W pack: the tile squares each streamed W slice in L1,
+// so every weight crosses the memory hierarchy once per row block.
 //
 // Both fused drivers route through the runtime kernel dispatcher
 // (tensor/kernels/), so the tile kernels run at the widest ISA tier the
@@ -64,10 +66,9 @@ struct FusedScratchView {
 /// checks.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
-                            const float* weight, const float* weight_sq,
-                            const float* bias, std::size_t n,
-                            double keep_prob, const PiecewiseLinear& f,
-                            const PwlView& view,
+                            const float* weight, const float* bias,
+                            std::size_t n, double keep_prob,
+                            const PiecewiseLinear& f, const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
 
@@ -83,15 +84,8 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
 
 /// Fused f32 moment_linear -> activation: semantically identical to
 /// moment_linear(...) followed by moment_activation_inplace(f, ...), minus
-/// the intermediate matrices (rounding differs within f32 tolerance).
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& weight_sq, const MatrixF& bias,
-                           double keep_prob, const PiecewiseLinear& f);
-
-/// Convenience overload that squares the weights on the fly. One-shot
-/// callers only — repeated callers must precompute weight_sq (debug
-/// builds count this in `moment_linear.weight_sq_recompute`, same as the
-/// unfused convenience overload).
+/// the intermediate matrices (rounding differs within f32 tolerance; the
+/// variance term squares the f32 weight in-tile, fl32(fl32(w)^2)).
 MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
                            const MatrixF& bias, double keep_prob,
                            const PiecewiseLinear& f);

@@ -70,10 +70,10 @@ KernelBackend global_kernel_backend();
 inline constexpr std::size_t kKernelMomentTile = 128;
 
 /// Row-block height of the fused moment->activation kernels. A moment tile
-/// accumulates a (rows x columns) block so each streamed W/Wsq slice is
-/// reused across every row of the block — per-row tiles would re-stream
-/// the full weight columns once per batch row and lose to the unfused
-/// GEMM path on memory bandwidth.
+/// accumulates a (rows x columns) block so each streamed W slice (and the
+/// W∘W slice squared from it) is reused across every row of the block —
+/// per-row tiles would re-stream the full weight columns once per batch row
+/// and lose to the unfused GEMM path on memory bandwidth.
 inline constexpr std::size_t kKernelMomentRows = 16;
 
 /// Non-owning view of a piece-wise linear surrogate in kernel layout:
@@ -147,28 +147,32 @@ struct KernelOps {
   /// One row-block x column-tile of the fused moment_linear: for r in
   /// [r0, r1), j in [j0, j1),
   ///   tmean[(r-r0)(j1-j0) + j-j0] = dot(sm[r,:], W[:,j]) + bias[j]
-  ///   tvar [(r-r0)(j1-j0) + j-j0] = max(0, dot(vi[r,:], Wsq[:,j]))
+  ///   tvar [(r-r0)(j1-j0) + j-j0] = max(0, dot(vi[r,:], W[:,j]∘W[:,j]))
   /// sm/vi are the full prepped input matrices (batch x kdim row-major);
-  /// W/Wsq are kdim x n row-major; r1 - r0 <= kKernelMomentRows and
-  /// j1 - j0 <= kKernelMomentTile. k-blocked with the streamed W/Wsq
-  /// slices reused across the block's rows; per-element accumulation stays
-  /// k-ascending, so results are partition-invariant. The caller runs the
+  /// W is kdim x n row-major; r1 - r0 <= kKernelMomentRows and
+  /// j1 - j0 <= kKernelMomentTile. W∘W is not an input: the kernel squares
+  /// each 8-row kk group of the W slice once into a stack buffer and reuses
+  /// it across the block's rows, so every variance term uses
+  /// fl32(fl32(w)^2) and the weights stream once per row block. k-blocked;
+  /// per-element accumulation stays k-ascending, so results are
+  /// partition-invariant. No heap allocation. The caller runs the
   /// activation tile on (tmean, tvar) while they are still hot and only
   /// then spills to the output matrix — the pre-activation moment matrices
   /// never exist in memory.
   void (*moment_tile_f32)(const float* sm, const float* vi, const float* w,
-                          const float* wsq, const float* bias,
-                          std::size_t kdim, std::size_t n, std::size_t r0,
-                          std::size_t r1, std::size_t j0, std::size_t j1,
-                          float* tmean, float* tvar);
+                          const float* bias, std::size_t kdim, std::size_t n,
+                          std::size_t r0, std::size_t r1, std::size_t j0,
+                          std::size_t j1, float* tmean, float* tvar);
 
   /// i8 twin of moment_tile_f32: qsm/qvi are the dynamically quantized
   /// input matrices (symmetric, per-row scales sm_scale/vi_scale indexed
   /// by absolute row); qw/qwsq are kdim x n i8 weights with per-output-
-  /// column scales w_scale/wsq_scale. Accumulation is exact i32 (caller
-  /// bounds kdim so 127^2 * kdim fits); dequantization lands directly in
-  /// the f32 tile, bias added and variance clamped >= 0 as in the f32
-  /// kernel.
+  /// column scales w_scale/wsq_scale. Unlike the f32 tile, W∘W is its own
+  /// pre-quantized operand: the i16 pair-jam needs |q| <= 127 on both
+  /// sides, which a square of a quantized W would break. Accumulation is
+  /// exact i32 (caller bounds kdim so 127^2 * kdim fits); dequantization
+  /// lands directly in the f32 tile, bias added and variance clamped >= 0
+  /// as in the f32 kernel.
   void (*moment_tile_i8)(const std::int8_t* qsm, const float* sm_scale,
                          const std::int8_t* qvi, const float* vi_scale,
                          const std::int8_t* qw, const float* w_scale,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace apds {
 
@@ -25,43 +26,61 @@ QuantizedMatrix quantize_per_col(const Matrix& m) {
   QuantizedMatrix q;
   q.rows = m.rows();
   q.cols = m.cols();
-  q.data.resize(q.rows * q.cols);
+  q.data.assign(q.rows * q.cols, 0);
   q.scale.assign(q.cols, 1.0f);
 
-  std::vector<float> inv_scale(q.cols, 0.0f);
+  // Only columns with a finite inverse scale reach quantize_value, whose
+  // int cast is undefined for ±inf and NaN. The rest keep all-zero data:
+  // scale 1 when 127/max overflows f32 (all zero, or max below ~3.7e-37),
+  // scale NaN when the column holds a value with no finite f32 (NaN, ±inf,
+  // or a magnitude above FLT_MAX).
+  const double f32_max =
+      static_cast<double>(std::numeric_limits<float>::max());
   const double* md = m.data();
   for (std::size_t j = 0; j < q.cols; ++j) {
     double max_abs = 0.0;
-    for (std::size_t i = 0; i < q.rows; ++i)
-      max_abs = std::max(max_abs, std::fabs(md[i * q.cols + j]));
-    if (max_abs > 0.0) {
-      q.scale[j] = static_cast<float>(max_abs / 127.0);
-      inv_scale[j] = static_cast<float>(127.0 / max_abs);
+    bool finite = true;
+    for (std::size_t i = 0; i < q.rows; ++i) {
+      const double a = std::fabs(md[i * q.cols + j]);
+      finite &= a <= f32_max;
+      max_abs = std::max(max_abs, a);
     }
-    // All-zero column: scale 1, inv_scale 0 -> every entry quantizes to 0.
+    if (!finite) {
+      q.scale[j] = std::numeric_limits<float>::quiet_NaN();
+      continue;
+    }
+    const double inv = 127.0 / max_abs;  // +inf for an all-zero column
+    if (!(inv <= f32_max)) continue;
+    q.scale[j] = static_cast<float>(max_abs / 127.0);
+    const float inv_scale = static_cast<float>(inv);
+    for (std::size_t i = 0; i < q.rows; ++i)
+      q.data[i * q.cols + j] = quantize_value(
+          static_cast<float>(md[i * q.cols + j]), inv_scale);
   }
-  for (std::size_t i = 0; i < q.rows; ++i)
-    for (std::size_t j = 0; j < q.cols; ++j)
-      q.data[i * q.cols + j] =
-          quantize_value(static_cast<float>(md[i * q.cols + j]), inv_scale[j]);
   return q;
 }
 
 void quantize_row_i8(const float* x, std::size_t n, std::int8_t* q,
                      float* scale) {
   float max_abs = 0.0f;
-  for (std::size_t i = 0; i < n; ++i)
-    max_abs = std::max(max_abs, std::fabs(x[i]));
-  // Exact sentinel: an all-zero row quantizes to zeros with scale 1; any
-  // nonzero magnitude, however small, defines a real scale.
-  // apds-lint: allow(float-equal)
-  if (max_abs == 0.0f) {
-    *scale = 1.0f;
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float a = std::fabs(x[i]);
+    finite &= a <= std::numeric_limits<float>::max();
+    max_abs = std::max(max_abs, a);
+  }
+  // A NaN or ±inf lane has no honest i8 code: the row's scale becomes NaN
+  // so every dequantized product comes out NaN, as the f32 path would.
+  // A row whose 127/max overflows f32 (all zero, or max |x| below ~3.7e-37,
+  // which covers every denormal-only row) quantizes to zeros with scale 1.
+  // Either way no non-finite value reaches quantize_value's int cast.
+  const float inv_scale = 127.0f / max_abs;
+  if (!finite || !(inv_scale <= std::numeric_limits<float>::max())) {
+    *scale = finite ? 1.0f : std::numeric_limits<float>::quiet_NaN();
     for (std::size_t i = 0; i < n; ++i) q[i] = 0;
     return;
   }
   *scale = max_abs / 127.0f;
-  const float inv_scale = 127.0f / max_abs;
   for (std::size_t i = 0; i < n; ++i) q[i] = quantize_value(x[i], inv_scale);
 }
 

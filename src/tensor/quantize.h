@@ -31,12 +31,19 @@ struct QuantizedMatrix {
 };
 
 /// Quantize an f64 matrix with per-column symmetric scales
-/// (scale[j] = max_i |m(i,j)| / 127; an all-zero column gets scale 1).
+/// (scale[j] = max_i |m(i,j)| / 127). A column too small for 127 / max to
+/// be a finite f32 (all zero, or max below ~3.7e-37) quantizes to zeros
+/// with scale 1; a column holding NaN, ±inf or a magnitude beyond FLT_MAX
+/// gets zeros with scale NaN.
 QuantizedMatrix quantize_per_col(const Matrix& m);
 
-/// Dynamic per-row activation quantization: *scale = max_i |x[i]| / 127
-/// (1 when the row is all zero), q[i] = round(x[i] / *scale). Exact for
-/// zero entries, so dropout-zeroed lanes stay exactly zero.
+/// Dynamic per-row activation quantization: *scale = max_i |x[i]| / 127,
+/// q[i] = round(x[i] / *scale). Exact for zero entries, so dropout-zeroed
+/// lanes stay exactly zero. Degenerate rows never cast a non-finite value:
+/// a row whose 127 / max overflows f32 (all zero, or max below ~3.7e-37 —
+/// every denormal-only row) gives zeros with scale 1, and a row with a NaN
+/// or ±inf lane gives zeros with scale NaN, so its dequantized products
+/// come out NaN rather than a made-up finite value.
 void quantize_row_i8(const float* x, std::size_t n, std::int8_t* q,
                      float* scale);
 

@@ -64,6 +64,30 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(out.batch(), 5u);
   EXPECT_EQ(out.dim(), 3u);
   EXPECT_EQ(session.propagate_count(), 1u);
+
+  // Exact packed footprints, which SessionRegistry budgets against. f64
+  // keeps W, W∘W and b; f32 keeps W and b only (the fused tile squares W
+  // in-kernel, so no W∘W pack may come back unnoticed); i8 keeps i8 W and
+  // W∘W plus one f32 scale per column each and an f32 bias for the hidden
+  // layers, and an f32 W and b for the moment head.
+  std::size_t f64_bytes = 0, f32_bytes = 0, i8_bytes = 0;
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    const DenseLayer& layer = mlp.layer(l);
+    const std::size_t w = layer.weight.size();
+    const std::size_t b = layer.bias.size();
+    f64_bytes += 8 * (2 * w + b);
+    f32_bytes += 4 * (w + b);
+    i8_bytes += l + 1 < mlp.num_layers()
+                    ? 2 * w + 2 * 4 * layer.out_dim() + 4 * b
+                    : 4 * (w + b);
+  }
+  EXPECT_EQ(session.weight_bytes(), f64_bytes);
+  SessionConfig f32_config;
+  f32_config.precision = Precision::kF32;
+  EXPECT_EQ(InferenceSession(mlp, f32_config).weight_bytes(), f32_bytes);
+  SessionConfig i8_config;
+  i8_config.precision = Precision::kI8;
+  EXPECT_EQ(InferenceSession(mlp, i8_config).weight_bytes(), i8_bytes);
 }
 
 // Bit-identity with the legacy path is by construction (both run the same

@@ -265,9 +265,12 @@ TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
 
 // ---- fused-path agreement through the public API ---------------------------
 
+// Inner dims 13 and 90 are not multiples of the kernels' 8-way kk jam, so
+// the kk remainder loops (including the f32 tile's inline W squaring) run
+// in hidden layers and, at i8, in the f32 moment head.
 Mlp small_net(Rng& rng) {
   MlpSpec spec;
-  spec.dims = {24, 96, 96, 10};
+  spec.dims = {24, 13, 90, 10};
   spec.hidden_act = Activation::kTanh;
   spec.hidden_keep_prob = 0.9;
   return Mlp::make(spec, rng);
@@ -360,6 +363,41 @@ TEST(Quantize, RowQuantizationPreservesZerosAndHandlesZeroRows) {
   quantize_row_i8(zeros, 3, qz, &scale);
   EXPECT_FLOAT_EQ(scale, 1.0f);
   for (const std::int8_t v : qz) EXPECT_EQ(v, 0);
+
+  // A denormal-only row: 127 / max overflows f32, so the row must come out
+  // as zeros with scale 1 — never a cast of +-inf (the zero lane included).
+  float tiny[4] = {1e-39f, 5e-40f, -2e-40f, 0.0f};
+  std::int8_t qt[4] = {1, 1, 1, 1};
+  quantize_row_i8(tiny, 4, qt, &scale);
+  EXPECT_FLOAT_EQ(scale, 1.0f);
+  for (const std::int8_t v : qt) EXPECT_EQ(v, 0);
+
+  // A NaN lane: the scale turns NaN so every dequantized product is NaN
+  // instead of the NaN lane posing as a finite code.
+  float with_nan[3] = {1.0f, std::nanf(""), 0.5f};
+  std::int8_t qn[3] = {1, 1, 1};
+  quantize_row_i8(with_nan, 3, qn, &scale);
+  EXPECT_TRUE(std::isnan(scale));
+  for (const std::int8_t v : qn) EXPECT_EQ(v, 0);
+  EXPECT_TRUE(std::isnan(static_cast<float>(qn[0]) * scale));
+
+  // The per-column weight quantizer follows the same contract.
+  Matrix w(3, 3);
+  w(0, 0) = 1e-39;
+  w(1, 0) = -5e-40;
+  w(0, 1) = 2.0;
+  w(1, 1) = -1.0;
+  w(2, 2) = std::nan("");
+  const QuantizedMatrix qm = quantize_per_col(w);
+  EXPECT_FLOAT_EQ(qm.scale[0], 1.0f);
+  EXPECT_FLOAT_EQ(qm.scale[1], 2.0f / 127.0f);
+  EXPECT_TRUE(std::isnan(qm.scale[2]));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(qm.data[i * 3 + 0], 0) << i;
+    EXPECT_EQ(qm.data[i * 3 + 2], 0) << i;
+  }
+  EXPECT_EQ(qm.data[0 * 3 + 1], 127);
+  EXPECT_EQ(qm.data[1 * 3 + 1], -64);  // -63.5 rounds half away from zero
 }
 
 }  // namespace
