@@ -20,9 +20,9 @@
 // quantization speedup floors. All apd_propagate_* rows run through
 // planned-arena InferenceSessions with a reused output batch, so their
 // `allocs` column is 0 in steady state (bench-smoke gates this via
-// bench_compare --max-allocs apd_propagate_:0), and the
-// apd_{legacy,session}_b1_f32 pair measures the small-batch serving win
-// of the planned arena over the legacy per-call path.
+// bench_compare --max-allocs apd_propagate_:0), and apd_session_b1_f32
+// times one batch-1 f32 session call (gated at zero allocations by
+// --max-allocs apd_session_:0).
 // The JSON header records the resolved
 // kernel ISA tier ("isa") and ambient precision alongside the thread
 // count, so a comparison across reports taken on different machines or
@@ -391,7 +391,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     });
     // Gemm-based comparator for the quantization floor: the same f32
     // stack through the unfused moment_linear + activation pair (what
-    // propagate_f32 was before fusion). bench_compare holds the i8
+    // the f32 path was before fusion). bench_compare holds the i8
     // propagate's speedup over THIS row, so the gate measures what
     // quantization buys against the path it replaces, not against the
     // already-fused f32 kernels. Buffers and surrogate packs are hoisted
@@ -440,21 +440,15 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       i8_session.propagate(input, out);
       benchmark::DoNotOptimize(out.mean.data());
     });
-    // Small-batch serving pair: the session's planned arena vs the legacy
-    // per-call path at batch 1 (f32, the serving configuration). CI holds
-    // apd_session_b1_f32 at least as fast as apd_legacy_b1_f32 — the
-    // allocation/packing overhead the session amortizes is the whole cost
-    // at this size.
+    // Small-batch serving row: one session call at batch 1 (f32, the
+    // serving configuration), where per-call allocation or packing would
+    // be the whole cost.
     const MeanVar input1 = MeanVar::point(random_matrix(1, 250, rng));
     SessionConfig b1_cfg;
     b1_cfg.precision = Precision::kF32;
     b1_cfg.max_batch = 1;
     const InferenceSession b1_session(mlp, b1_cfg);
     MeanVar out1;
-    record("apd_legacy_b1_f32", [&] {
-      MeanVar o = apd.propagate(input1, Precision::kF32);
-      benchmark::DoNotOptimize(o.mean.data());
-    });
     record("apd_session_b1_f32", [&] {
       b1_session.propagate(input1, out1);
       benchmark::DoNotOptimize(out1.mean.data());

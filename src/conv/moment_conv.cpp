@@ -12,6 +12,8 @@ MeanVar moment_conv1d_linear(const Conv1dLayer& layer, const MeanVar& input,
   layer.check();
   APDS_CHECK_MSG(input.dim() == in_len * layer.in_channels,
                  "moment_conv1d: input width");
+  APDS_CHECK_MSG(input.var.same_shape(input.mean),
+                 "moment_conv1d: mean/var shape mismatch");
   const std::size_t out_t = layer.out_len(in_len);
   const double p = layer.channel_keep_prob;
 

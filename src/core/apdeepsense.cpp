@@ -46,33 +46,19 @@ const std::vector<Matrix>& ApDeepSense::f64_pack() const {
   return weight_sq_;
 }
 
-const ApDeepSense::F32Pack& ApDeepSense::f32_pack() const {
-  std::call_once(f32_once_, [&] {
-    const std::size_t layers = mlp_->num_layers();
-    F32Pack& pack = f32_pack_storage_;
-    pack.weight.reserve(layers);
-    pack.bias.reserve(layers);
-    for (std::size_t l = 0; l < layers; ++l) {
-      const DenseLayer& layer = mlp_->layer(l);
-      pack.weight.push_back(to_f32(layer.weight));
-      pack.bias.push_back(to_f32(layer.bias));
-    }
-  });
-  return f32_pack_storage_;
-}
-
-const ApDeepSense::I8Pack& ApDeepSense::i8_pack() const {
-  std::call_once(i8_once_, [&] {
-    const std::size_t layers = mlp_->num_layers();
-    I8Pack& pack = i8_pack_storage_;
-    pack.hidden.reserve(layers - 1);
-    for (std::size_t l = 0; l + 1 < layers; ++l)
-      pack.hidden.push_back(quantize_dense_layer(mlp_->layer(l)));
-    const DenseLayer& last = mlp_->layer(layers - 1);
-    pack.final_weight = to_f32(last.weight);
-    pack.final_bias = to_f32(last.bias);
-  });
-  return i8_pack_storage_;
+std::shared_ptr<InferenceSession> ApDeepSense::session(
+    Precision precision) const {
+  const std::size_t idx = static_cast<std::size_t>(precision);
+  MutexLock lk(&sessions_mu_);
+  APDS_CHECK(idx < sessions_.size());
+  if (!sessions_[idx]) {
+    SessionConfig cfg;
+    cfg.precision = precision;
+    cfg.saturating_pieces = config_.saturating_pieces;
+    sessions_[idx] =
+        std::make_shared<InferenceSession>(*mlp_, surrogates_, cfg);
+  }
+  return sessions_[idx];
 }
 
 MeanVar ApDeepSense::propagate(const Matrix& x) const {
@@ -85,14 +71,8 @@ MeanVar ApDeepSense::propagate(const MeanVar& input) const {
 
 MeanVar ApDeepSense::propagate(const MeanVar& input,
                                Precision precision) const {
-  switch (precision) {
-    case Precision::kF32:
-      return propagate_f32(input);
-    case Precision::kI8:
-      return propagate_i8(input);
-    default:
-      return propagate_f64(input);
-  }
+  if (precision == Precision::kF64) return propagate_f64(input);
+  return session(precision)->propagate(input);
 }
 
 MeanVar ApDeepSense::propagate_f64(const MeanVar& input) const {
@@ -115,57 +95,6 @@ MeanVar ApDeepSense::propagate_f64(const MeanVar& input) const {
     APDS_MOMENT_CONTRACT(h, "apd.propagate layer output");
   }
   return h;
-}
-
-MeanVar ApDeepSense::propagate_f32(const MeanVar& input) const {
-  APDS_TRACE_SCOPE("apd.propagate_f32");
-  obs::PerfCounterRegion perf_region;
-  const F32Pack& pack = f32_pack();
-  // Narrow once at entry and widen once at exit; the whole layer stack
-  // stays single-precision in between. Each layer runs the fused
-  // moment_linear -> activation kernel, so the pre-activation moment
-  // matrices never round-trip through memory.
-  MeanVarF h = to_f32(input);
-  APDS_MOMENT_CONTRACT(h, "apd.propagate_f32 input");
-  for (std::size_t l = 0; l < mlp_->num_layers(); ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    h = moment_linear_act(h, pack.weight[l], pack.bias[l], layer.keep_prob,
-                          surrogates_[l]);
-    APDS_MOMENT_CONTRACT(h, "apd.propagate_f32 layer output");
-  }
-  return to_f64(h);
-}
-
-MeanVar ApDeepSense::propagate_i8(const MeanVar& input) const {
-  APDS_TRACE_SCOPE("apd.propagate_i8");
-  obs::PerfCounterRegion perf_region;
-  const I8Pack& pack = i8_pack();
-  // Hidden layers run on symmetric i8 weights with exact i32 accumulation;
-  // the final layer — the moment head whose variance the caller consumes —
-  // stays on the fused f32 kernels (quantization-aware placement: the
-  // accuracy cost concentrates where the output is reported, the latency
-  // win concentrates in the hidden stack).
-  MeanVarF h = to_f32(input);
-  APDS_MOMENT_CONTRACT(h, "apd.propagate_i8 input");
-  const std::size_t layers = mlp_->num_layers();
-  for (std::size_t l = 0; l < layers; ++l) {
-    const DenseLayer& layer = mlp_->layer(l);
-    obs::FlightLayerTimer layer_timer;
-    TraceSpan span("apd.layer");
-    if (span.active()) span.set_args(layer_span_args(l, layer));
-    if (l + 1 < layers) {
-      h = moment_linear_act(h, pack.hidden[l], layer.keep_prob,
-                            surrogates_[l]);
-    } else {
-      h = moment_linear_act(h, pack.final_weight, pack.final_bias,
-                            layer.keep_prob, surrogates_[l]);
-    }
-    APDS_MOMENT_CONTRACT(h, "apd.propagate_i8 layer output");
-  }
-  return to_f64(h);
 }
 
 GaussianVec ApDeepSense::propagate_one(std::span<const double> x) const {

@@ -7,14 +7,18 @@
 // distribution at the output. No retraining, no sampling.
 #pragma once
 
+#include <array>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/precision.h"
+#include "common/thread_annotations.h"
 #include "core/gaussian_vec.h"
+#include "core/inference_session.h"
 #include "core/moment_activation.h"
-#include "core/moment_fused.h"
 #include "core/moment_linear.h"
 #include "core/piecewise_linear.h"
 #include "nn/mlp.h"
@@ -29,14 +33,17 @@ struct ApDeepSenseConfig {
 /// Analytic uncertainty propagator bound to one network.
 ///
 /// The surrogate PWL functions are resolved once per distinct activation at
-/// construction, so propagate() is allocation-light and branch-free over
-/// layer structure.
+/// construction. At kF64, propagate() runs the plain layer-by-layer
+/// reference loop, reading W from the Mlp in place; at kF32/kI8 it runs
+/// the InferenceSession that session() builds from this object's
+/// surrogates, so there is exactly one f32 and one i8 engine.
 class ApDeepSense {
  public:
   explicit ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config = {});
 
   /// Bind with explicit per-layer surrogates (one per weight layer), e.g.
-  /// from calibrate_surrogates() in adaptive_surrogate.h.
+  /// from calibrate_surrogates() in adaptive_surrogate.h. Every precision,
+  /// including the sessions, uses these surrogates.
   ApDeepSense(const Mlp& mlp, std::vector<PiecewiseLinear> surrogates);
 
   /// Propagate a deterministic input batch; returns the Gaussian output.
@@ -45,17 +52,13 @@ class ApDeepSense {
 
   /// Propagate an uncertain (Gaussian) input batch — e.g. sensor noise
   /// models feeding uncertainty in at the input. Dispatches on
-  /// global_precision(): kF64 is the original bit-exact path; kF32 runs
-  /// the whole layer stack through the fused single-precision kernels
-  /// (packed f32 weights, runtime ISA dispatch) and widens the result;
-  /// kI8 runs hidden layers on symmetric-quantized i8 weights with exact
-  /// i32 accumulation and keeps the final moment head in f32.
+  /// global_precision(): kF64 is the original bit-exact reference path;
+  /// kF32 and kI8 run session(precision) (fused single-precision kernels,
+  /// or i8 hidden layers with an f32 moment head) and widen the result.
   MeanVar propagate(const MeanVar& input) const;
 
   /// Propagate at an explicit precision regardless of the global setting.
-  /// The f32/i8 paths convert the input once, keep every intermediate
-  /// layer batch in f32, and convert the final moments back to f64; API
-  /// types stay double either way.
+  /// API types stay double either way.
   MeanVar propagate(const MeanVar& input, Precision precision) const;
 
   /// Single-input convenience.
@@ -70,6 +73,14 @@ class ApDeepSense {
   MeanVar propagate_recording(const MeanVar& input,
                               std::vector<MeanVar>& layer_outputs) const;
 
+  /// The session for `precision`, built on first use (thread-safe) from
+  /// the bound network and this object's surrogates. A process that only
+  /// ever runs one precision pays for exactly one pack. propagate() at
+  /// kF32/kI8 runs this session; the kF64 session serves callers that
+  /// want planned arenas (ApdEstimator), while propagate() at kF64 keeps
+  /// the reference loop.
+  std::shared_ptr<InferenceSession> session(Precision precision) const;
+
   const Mlp& network() const { return *mlp_; }
   const ApDeepSenseConfig& config() const { return config_; }
 
@@ -77,48 +88,21 @@ class ApDeepSense {
   const PiecewiseLinear& surrogate(std::size_t l) const;
 
  private:
-  /// f32 fast-path pack: single-precision copies of W and b per layer, so
-  /// propagate() at kF32 never converts weights per call. There is no W∘W
-  /// pack: the fused tile squares the narrowed W in-kernel, so each
-  /// variance term uses fl32(fl32(w)^2).
-  struct F32Pack {
-    std::vector<MatrixF> weight;
-    std::vector<MatrixF> bias;
-  };
-
-  /// i8 pack: hidden layers carry symmetric per-output-channel quantized
-  /// W / W∘W + f32 bias; the final layer — the moment head that reports
-  /// the predictive distribution — stays f32 (quantizing it costs
-  /// calibration for ~no latency, it is one layer out of L) and, like
-  /// F32Pack, keeps no W∘W.
-  struct I8Pack {
-    std::vector<QuantizedDenseLayer> hidden;  ///< layers 0 .. L-2
-    MatrixF final_weight;
-    MatrixF final_bias;
-  };
-
   MeanVar propagate_f64(const MeanVar& input) const;
-  MeanVar propagate_f32(const MeanVar& input) const;
-  MeanVar propagate_i8(const MeanVar& input) const;
 
-  // Weight packs are built lazily on first use per precision (thread-safe
-  // via call_once): a process that only ever runs one precision pays for
-  // exactly one pack, instead of tripling steady-state weight memory on
-  // devices that are the paper's whole point.
+  // The f64 reference loop's W∘W is built lazily on first use (thread-safe
+  // via call_once); W itself is read from the Mlp in place.
   const std::vector<Matrix>& f64_pack() const;
-  const F32Pack& f32_pack() const;
-  const I8Pack& i8_pack() const;
 
   const Mlp* mlp_;  ///< non-owning; must outlive this object
   ApDeepSenseConfig config_;
   std::vector<PiecewiseLinear> surrogates_;  ///< one per layer
 
   mutable std::once_flag f64_once_;
-  mutable std::once_flag f32_once_;
-  mutable std::once_flag i8_once_;
   mutable std::vector<Matrix> weight_sq_;  ///< cached W∘W per layer (f64)
-  mutable F32Pack f32_pack_storage_;
-  mutable I8Pack i8_pack_storage_;
+  mutable Mutex sessions_mu_;
+  mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
+      APDS_GUARDED_BY(sessions_mu_);
 };
 
 }  // namespace apds

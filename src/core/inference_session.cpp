@@ -58,9 +58,9 @@ void InferenceSession::build(const Mlp& mlp) {
     act_names_.push_back(activation_name(layer.act));
   }
 
-  // Weight packs mirror ApDeepSense's lazy per-precision packs exactly
-  // (same squaring/narrowing order), so session outputs are bit-identical
-  // to the legacy propagate entry points.
+  // The f64 pack squares W exactly as ApDeepSense's f64 reference loop
+  // does, so an f64 session is bit-identical to it. ApDeepSense keeps no
+  // f32/i8 packs of its own: it runs those precisions through a session.
   switch (config_.precision) {
     case Precision::kF32:
       // No W∘W pack: the fused f32 tile squares W in-kernel.
@@ -219,8 +219,8 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
                   precision_name(config_.precision) +
                   "\",\"batch\":" + std::to_string(batch));
   // One relaxed load when profiling is off; under --profile this pass's
-  // counters attribute to the dispatched kernel backend, like the legacy
-  // paths.
+  // counters attribute to the dispatched kernel backend, like the f64
+  // reference loop.
   obs::PerfCounterRegion perf_region;
   if (obs::RequestScope* scope = obs::RequestScope::current())
     scope->set_session(id_);
@@ -306,8 +306,8 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
   scratch.sm = ta.arena.at<float>(ta.plan.sm);
   scratch.vi = ta.arena.at<float>(ta.plan.vi);
 
-  // Narrow once at entry (same elementwise cast as the legacy to_f32), run
-  // the whole layer stack in f32, widen once at exit.
+  // Narrow once at entry (same elementwise cast as to_f32), run the whole
+  // layer stack in f32, widen once at exit.
   float* cm = ta.arena.at<float>(ta.plan.slot_mean[0]);
   float* cv = ta.arena.at<float>(ta.plan.slot_var[0]);
   {

@@ -14,7 +14,9 @@
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
 // zero-alloc property across precision x backend x thread count, and bit-
-// identity against the legacy ApDeepSense::propagate entry points.
+// identity of the f64 session against ApDeepSense's f64 reference loop.
+// ApDeepSense::propagate at f32/i8 runs a session, so there is one engine
+// per precision.
 //
 // A session is thread-safe for concurrent propagate() calls (each thread
 // lazily gets its own arena, cached through core/arena.h's per-thread map)

@@ -18,9 +18,9 @@
 // symmetric quantized weights (tensor/quantize.h) with dynamic per-row
 // activation quantization and exact i32 accumulation — the paper's
 // low-cost-IoT pitch taken one tier further. The final moment head of a
-// network should stay f32/f64 (ApDeepSense does this); quantizing the
-// layer that *reports* the predictive variance costs calibration, whereas
-// hidden layers tolerate it (drift numbers in docs/PERFORMANCE.md).
+// network should stay f32/f64 (an i8 InferenceSession does this);
+// quantizing the layer that *reports* the predictive variance costs
+// calibration, whereas hidden layers tolerate it (drift numbers in docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>

@@ -75,6 +75,8 @@ MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
                                const MatrixT<T>& weight_sq,
                                const MatrixT<T>& bias, double keep_prob) {
   APDS_CHECK_MSG(input.dim() == weight.rows(), "moment_linear: input dim");
+  APDS_CHECK_MSG(input.var.same_shape(input.mean),
+                 "moment_linear: mean/var shape mismatch");
   APDS_CHECK_MSG(weight_sq.same_shape(weight), "moment_linear: weight_sq");
   APDS_CHECK(keep_prob > 0.0 && keep_prob <= 1.0);
   const std::size_t batch = input.batch();

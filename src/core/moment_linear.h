@@ -22,7 +22,8 @@ MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
                       double keep_prob);
 
 /// Single-precision fast-path variant. Same math, same loop structure; the
-/// caller supplies f32-packed weights (ApDeepSense packs them at load).
+/// caller supplies f32-packed weights (packed once with to_f32, not per
+/// call).
 MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
                        const MatrixF& weight_sq, const MatrixF& bias,
                        double keep_prob);

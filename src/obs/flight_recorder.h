@@ -56,9 +56,9 @@ struct RequestRecord {
   /// zero-alloc steady-state work drives these to 0.
   std::uint64_t allocs = 0;
   std::uint64_t alloc_bytes = 0;
-  /// InferenceSession id the request ran through (0 = no session — the
-  /// legacy propagate paths). Lets flight dumps segment per model when a
-  /// SessionRegistry serves several concurrently.
+  /// InferenceSession id the request ran through (0 = no session, e.g.
+  /// the f64 ApDeepSense reference loop). Lets flight dumps segment per
+  /// model when a SessionRegistry serves several concurrently.
   std::uint64_t session = 0;
 };
 

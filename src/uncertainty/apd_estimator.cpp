@@ -10,21 +10,6 @@ ApdEstimator::ApdEstimator(const Mlp& mlp, ApDeepSenseConfig config,
   APDS_CHECK(var_floor > 0.0);
 }
 
-std::shared_ptr<InferenceSession> ApdEstimator::session(
-    Precision precision) const {
-  const std::size_t idx = static_cast<std::size_t>(precision);
-  APDS_CHECK(idx < sessions_.size());
-  MutexLock lk(&sessions_mu_);
-  if (!sessions_[idx]) {
-    SessionConfig cfg;
-    cfg.precision = precision;
-    cfg.saturating_pieces = propagator_.config().saturating_pieces;
-    sessions_[idx] =
-        std::make_shared<InferenceSession>(propagator_.network(), cfg);
-  }
-  return sessions_[idx];
-}
-
 PredictiveGaussian ApdEstimator::predict_regression(const Matrix& x) const {
   TraceSpan span("apd.predict_regression");
   if (span.active()) span.set_args("\"batch\":" + std::to_string(x.rows()));

@@ -1,16 +1,14 @@
 // UncertaintyEstimator adapter over the analytic ApDeepSense propagator.
 //
-// Prediction runs through per-precision InferenceSessions (planned arenas,
-// zero steady-state allocations inside propagate); the legacy ApDeepSense
-// propagator is kept for callers that need its recording/explicit-precision
+// Prediction runs through the propagator's per-precision InferenceSessions
+// (planned arenas, zero steady-state allocations inside propagate), so the
+// estimator and its ApDeepSense share one session per precision. The
+// propagator also serves callers that need its recording/explicit-precision
 // surface (e.g. the Fig. 1 harness and the input-noise bench).
 #pragma once
 
-#include <array>
 #include <memory>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/apdeepsense.h"
 #include "core/inference_session.h"
 #include "core/softmax_approx.h"
@@ -31,17 +29,16 @@ class ApdEstimator final : public UncertaintyEstimator {
 
   const ApDeepSense& propagator() const { return propagator_; }
 
-  /// The session backing predict_* at `precision` (built on first use from
-  /// the bound network; sessions are shared_ptr so callers may also park
+  /// The session backing predict_* at `precision`: propagator().session()
+  /// (built on first use; sessions are shared_ptr so callers may also park
   /// them in a SessionRegistry).
-  std::shared_ptr<InferenceSession> session(Precision precision) const;
+  std::shared_ptr<InferenceSession> session(Precision precision) const {
+    return propagator_.session(precision);
+  }
 
  private:
   ApDeepSense propagator_;
   double var_floor_;
-  mutable Mutex sessions_mu_;
-  mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
-      APDS_GUARDED_BY(sessions_mu_);
 };
 
 }  // namespace apds

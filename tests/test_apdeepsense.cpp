@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "common/precision.h"
 #include "common/rng.h"
+#include "conv/conv_apdeepsense.h"
 #include "stats/running_stats.h"
 #include "tensor/ops.h"
 
@@ -170,6 +172,34 @@ TEST(ApDeepSense, InvalidConfigRejected) {
   Rng rng(10);
   const Mlp mlp = random_mlp({3, 4, 2}, Activation::kTanh, 0.9, rng);
   EXPECT_THROW(ApDeepSense(mlp, ApDeepSenseConfig{2}), InvalidArgument);
+}
+
+// A var batch smaller than its mean batch would be read past its end, so
+// every precision, and the conv front end, must reject it up front.
+TEST(ApDeepSense, MeanVarShapeMismatchRejectedAtEveryPrecision) {
+  Rng rng(11);
+  const Mlp mlp = random_mlp({4, 8, 2}, Activation::kTanh, 0.9, rng);
+  const ApDeepSense apd(mlp);
+  MeanVar short_rows(3, 4);
+  short_rows.var = Matrix(1, 4, 0.1);
+  MeanVar short_cols(3, 4);
+  short_cols.var = Matrix(3, 2, 0.1);
+  for (const Precision p :
+       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+    SCOPED_TRACE(precision_name(p));
+    EXPECT_THROW(apd.propagate(short_rows, p), InvalidArgument);
+    EXPECT_THROW(apd.propagate(short_cols, p), InvalidArgument);
+  }
+
+  std::vector<Conv1dLayer> convs;
+  convs.push_back(make_conv1d(3, 1, 2, 1, Activation::kRelu, 0.9, rng));
+  MlpSpec head;
+  head.dims = {20, 4, 2};  // input len 12 -> 10 steps x 2 channels
+  const ConvNet net(12, 1, std::move(convs), Mlp::make(head, rng));
+  const ConvApDeepSense conv_apd(net);
+  MeanVar conv_input(3, 12);
+  conv_input.var = Matrix(1, 12, 0.1);
+  EXPECT_THROW(conv_apd.propagate(conv_input), InvalidArgument);
 }
 
 }  // namespace

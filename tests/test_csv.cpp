@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -13,7 +15,10 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "apds_csv_test";
+    // Per-pid dir: parallel ctest runs each case in its own process, and a
+    // shared dir races one case's TearDown against another's files.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("apds_csv_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

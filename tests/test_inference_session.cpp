@@ -1,23 +1,27 @@
 // InferenceSession and SessionRegistry: the zero-alloc steady-state
-// contract (the whole point of planned arenas), bit-identity against the
-// legacy ApDeepSense::propagate entry points, arena replanning/trim, and
-// the registry's LRU/budget/eviction behavior.
+// contract (the whole point of planned arenas), bit-identity against
+// ApDeepSense's f64 reference loop, ApDeepSense running its own sessions at
+// f32/i8, arena replanning/trim, and the registry's LRU/budget/eviction
+// behavior.
 #include "core/inference_session.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/precision.h"
 #include "common/rng.h"
+#include "core/adaptive_surrogate.h"
 #include "core/apdeepsense.h"
 #include "core/session_registry.h"
 #include "obs/alloc_stats.h"
 #include "obs/metrics.h"
 #include "platform/thread_pool.h"
 #include "tensor/kernels/kernel_dispatch.h"
+#include "uncertainty/apd_estimator.h"
 
 namespace apds {
 namespace {
@@ -90,36 +94,86 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(InferenceSession(mlp, i8_config).weight_bytes(), i8_bytes);
 }
 
-// Bit-identity with the legacy path is by construction (both run the same
-// raw moment_*_into kernels on identically packed weights), and this test
-// pins it: a session must be a pure refactor of ApDeepSense::propagate,
-// not a numerically-adjacent reimplementation.
+/// Exact (bitwise) equality of two output batches.
+void expect_bit_identical(const MeanVar& got, const MeanVar& want) {
+  ASSERT_EQ(got.batch(), want.batch());
+  ASSERT_EQ(got.dim(), want.dim());
+  for (std::size_t i = 0; i < got.batch(); ++i)
+    for (std::size_t j = 0; j < got.dim(); ++j) {
+      EXPECT_EQ(got.mean(i, j), want.mean(i, j)) << i << "," << j;
+      EXPECT_EQ(got.var(i, j), want.var(i, j)) << i << "," << j;
+    }
+}
+
+// One engine per precision. At f64, ApDeepSense keeps its own
+// layer-by-layer reference loop, and an f64 session must reproduce it bit
+// for bit: the session is a pure refactor of that loop, not a
+// numerically-adjacent reimplementation. At f32/i8, ApDeepSense::propagate
+// IS its session: the estimator shares it, every call counts on it, and it
+// is built from the propagator's own surrogates (calibrated ones included),
+// not re-derived from saturating_pieces.
 TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   Rng rng(29);
   const Mlp mlp = random_mlp({10, 24, 24, 4}, Activation::kTanh, 0.85, rng);
-  const ApDeepSense apd(mlp);
   const Matrix x = random_matrix(7, 10, rng);
   const MeanVar input = MeanVar::point(x);
 
-  for (const Precision precision :
-       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+  {
+    const ApDeepSense apd(mlp);
+    const InferenceSession session(mlp);
+    expect_bit_identical(session.propagate(input),
+                         apd.propagate(input, Precision::kF64));
+  }
+
+  const ApdEstimator estimator(mlp);
+  const ApDeepSense& apd = estimator.propagator();
+  const std::vector<PiecewiseLinear> calibrated =
+      calibrate_surrogates(mlp, x, /*pieces=*/5);
+  const ApDeepSense calibrated_apd(mlp, calibrated);
+  for (const Precision precision : {Precision::kF32, Precision::kI8}) {
     SCOPED_TRACE(precision_name(precision));
+    const std::shared_ptr<InferenceSession> session = apd.session(precision);
+    EXPECT_EQ(estimator.session(precision).get(), session.get());
+    EXPECT_EQ(session->precision(), precision);
+
+    const std::uint64_t calls = session->propagate_count();
+    (void)apd.propagate(input, precision);
+    EXPECT_EQ(session->propagate_count(), calls + 1);
+    (void)apd.propagate(input, precision);
+    EXPECT_EQ(session->propagate_count(), calls + 2);
+
     SessionConfig cfg;
     cfg.precision = precision;
-    cfg.saturating_pieces = apd.config().saturating_pieces;
-    const InferenceSession session(mlp, cfg);
-
-    const MeanVar legacy = apd.propagate(input, precision);
-    MeanVar out;
-    session.propagate(input, out);
-    ASSERT_EQ(out.batch(), legacy.batch());
-    ASSERT_EQ(out.dim(), legacy.dim());
-    for (std::size_t i = 0; i < out.batch(); ++i)
-      for (std::size_t j = 0; j < out.dim(); ++j) {
-        EXPECT_EQ(out.mean(i, j), legacy.mean(i, j)) << i << "," << j;
-        EXPECT_EQ(out.var(i, j), legacy.var(i, j)) << i << "," << j;
-      }
+    const InferenceSession reference(mlp, calibrated, cfg);
+    expect_bit_identical(calibrated_apd.propagate(input, precision),
+                         reference.propagate(input));
   }
+}
+
+// ApDeepSense builds each precision's session lazily under its own mutex:
+// threads racing on first use must all run the one session it keeps.
+TEST(InferenceSession, ApDeepSenseBuildsOneSessionUnderConcurrentFirstUse) {
+  Rng rng(37);
+  const Mlp mlp = random_mlp({8, 16, 3}, Activation::kTanh, 0.9, rng);
+  const ApDeepSense apd(mlp);
+  const MeanVar input = MeanVar::point(random_matrix(2, 8, rng));
+
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<InferenceSession>> seen(kThreads);
+  std::vector<MeanVar> outs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      outs[t] = apd.propagate(input, Precision::kF32);
+      seen[t] = apd.session(Precision::kF32);
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t].get(), seen[0].get());
+    expect_bit_identical(outs[t], outs[0]);
+  }
+  EXPECT_EQ(seen[0]->propagate_count(), static_cast<std::uint64_t>(kThreads));
 }
 
 // The tentpole claim: a warmed-up propagate() into a reused output batch
