@@ -13,6 +13,8 @@
 
 #include "common/rng.h"
 #include "core/apdeepsense.h"
+#include "core/moment_activation.h"
+#include "core/moment_linear.h"
 #include "data/toy_sum.h"
 #include "nn/loss.h"
 #include "nn/trainer.h"
@@ -117,11 +119,17 @@ void analyze_layer(const Mlp& mlp, const ApDeepSense& apd, const Matrix& x,
   std::cout << "KS statistic vs moment-matched Gaussian: " << ks.statistic
             << " (p = " << ks.p_value << ")\n";
 
-  // ApDeepSense's analytic prediction for the same unit.
-  std::vector<MeanVar> layer_dists;
-  apd.propagate_recording(MeanVar::point(x), layer_dists);
-  const double pred_mean = layer_dists[layer_index].mean(0, best);
-  const double pred_sd = std::sqrt(layer_dists[layer_index].var(0, best));
+  // ApDeepSense's analytic prediction for the same unit: the f64 moment
+  // pass (dropout-linear moments, then the layer's surrogate activation
+  // moments) run up to and including this layer.
+  MeanVar dist = MeanVar::point(x);
+  for (std::size_t l = 0; l <= layer_index; ++l) {
+    const DenseLayer& layer = mlp.layer(l);
+    dist = moment_linear(dist, layer.weight, layer.bias, layer.keep_prob);
+    moment_activation_inplace(apd.surrogate(l), dist);
+  }
+  const double pred_mean = dist.mean(0, best);
+  const double pred_sd = std::sqrt(dist.var(0, best));
   std::cout << "ApDeepSense analytic prediction: mean " << pred_mean
             << ", stddev " << pred_sd << "\n"
             << "(at this extreme 20-layer depth the analytic variance "

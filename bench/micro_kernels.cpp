@@ -119,13 +119,12 @@ void BM_MomentLinear(benchmark::State& state) {
   layer.weight = random_matrix(512, 512, rng);
   layer.bias = random_matrix(1, 512, rng);
   layer.keep_prob = 0.9;
-  const Matrix w2 = square(layer.weight);
   MeanVar input(1, 512);
   for (double& v : input.mean.flat()) v = rng.normal();
   for (double& v : input.var.flat()) v = std::fabs(rng.normal());
   for (auto _ : state) {
     MeanVar out =
-        moment_linear(input, layer.weight, w2, layer.bias, layer.keep_prob);
+        moment_linear(input, layer.weight, layer.bias, layer.keep_prob);
     benchmark::DoNotOptimize(out.mean.data());
   }
 }
@@ -230,7 +229,6 @@ void print_timing(const char* name, const TimingResult& r) {
 void moment_kernel_summary() {
   Rng rng(3);
   const Matrix weight = random_matrix(512, 512, rng);
-  const Matrix w2 = square(weight);
   const Matrix bias = random_matrix(1, 512, rng);
   MeanVar input(1, 512);
   for (double& v : input.mean.flat()) v = rng.normal();
@@ -238,7 +236,7 @@ void moment_kernel_summary() {
 
   std::printf("moment kernel timing spread (apds::measure, 512-wide):\n");
   print_timing("moment_linear", measure([&] {
-                 MeanVar out = moment_linear(input, weight, w2, bias, 0.9);
+                 MeanVar out = moment_linear(input, weight, bias, 0.9);
                  benchmark::DoNotOptimize(out.mean.data());
                }));
 
@@ -311,17 +309,16 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
   }
   {
     const Matrix weight = random_matrix(512, 512, rng);
-    const Matrix w2 = square(weight);
     const Matrix bias = random_matrix(1, 512, rng);
     MeanVar input(64, 512);
     for (double& v : input.mean.flat()) v = rng.normal();
     for (double& v : input.var.flat()) v = std::fabs(rng.normal());
     record("moment_linear_b64", [&] {
-      MeanVar out = moment_linear(input, weight, w2, bias, 0.9);
+      MeanVar out = moment_linear(input, weight, bias, 0.9);
       benchmark::DoNotOptimize(out.mean.data());
     });
     const MatrixF wf = to_f32(weight);
-    const MatrixF w2f = to_f32(w2);
+    const MatrixF w2f = to_f32(square(weight));
     const MatrixF bf = to_f32(bias);
     const MeanVarF inputf = to_f32(input);
     record("moment_linear_b64_f32", [&] {
@@ -346,9 +343,28 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       moment_activation_inplace(f, out);
       benchmark::DoNotOptimize(out.mean.data());
     });
+    // The fused rows own their scratch, output and surrogate pack, as a
+    // session does (the i8 row adds the quantized-row blocks).
+    const std::size_t batch = inputf.batch();
+    const std::size_t kdim = inputf.dim();
+    const PwlPack pack = pack_pwl(f);
+    std::vector<float> fsm(batch * kdim), fvi(batch * kdim);
+    std::vector<float> sm_scale(batch), vi_scale(batch);
+    std::vector<std::int8_t> q_sm(batch * kdim), q_vi(batch * kdim);
+    FusedScratchView scratch;
+    scratch.sm = fsm.data();
+    scratch.vi = fvi.data();
+    scratch.q_sm = q_sm.data();
+    scratch.q_vi = q_vi.data();
+    scratch.sm_scale = sm_scale.data();
+    scratch.vi_scale = vi_scale.data();
+    MeanVarF fused(batch, wf.cols());
     record("moment_act_fused_b64_f32", [&] {
-      MeanVarF out = moment_linear_act(inputf, wf, bf, 0.9, f);
-      benchmark::DoNotOptimize(out.mean.data());
+      moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
+                             kdim, wf.data(), bf.data(), wf.cols(), 0.9, f,
+                             pack.view(), scratch, fused.mean.data(),
+                             fused.var.data());
+      benchmark::DoNotOptimize(fused.mean.data());
     });
     DenseLayer dense;
     dense.weight = weight;
@@ -356,8 +372,10 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     dense.keep_prob = 0.9;
     const QuantizedDenseLayer qdense = quantize_dense_layer(dense);
     record("moment_act_fused_b64_i8", [&] {
-      MeanVarF out = moment_linear_act(inputf, qdense, 0.9, f);
-      benchmark::DoNotOptimize(out.mean.data());
+      moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
+                             kdim, qdense, 0.9, f, pack.view(), scratch,
+                             fused.mean.data(), fused.var.data());
+      benchmark::DoNotOptimize(fused.mean.data());
     });
   }
   {

@@ -94,14 +94,11 @@ MeanVar moment_rnn(const RnnCell& cell, const Matrix& x_seq,
                    std::size_t steps, const PiecewiseLinear& surrogate) {
   check_seq(cell, x_seq, steps);
   MeanVar h(x_seq.rows(), cell.hidden_dim());
-  // Every timestep reuses the same recurrent weights: square them once
-  // instead of once per step inside the convenience overload.
-  const Matrix w_rec_sq = square(cell.w_rec);
   for (std::size_t t = 0; t < steps; ++t) {
     // Recurrent part through the paper's dropout-linear moments. The bias
     // rides along here; the input part is then added exactly.
-    MeanVar pre = moment_linear(h, cell.w_rec, w_rec_sq, cell.bias,
-                                cell.rec_keep_prob);
+    MeanVar pre =
+        moment_linear(h, cell.w_rec, cell.bias, cell.rec_keep_prob);
     const Matrix x = step_input(x_seq, t, cell.input_dim());
     Matrix xin(x.rows(), cell.hidden_dim());
     gemm(x, cell.w_in, xin);

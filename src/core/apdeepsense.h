@@ -8,9 +8,7 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/mutex.h"
@@ -33,10 +31,9 @@ struct ApDeepSenseConfig {
 /// Analytic uncertainty propagator bound to one network.
 ///
 /// The surrogate PWL functions are resolved once per distinct activation at
-/// construction. At kF64, propagate() runs the plain layer-by-layer
-/// reference loop, reading W from the Mlp in place; at kF32/kI8 it runs
-/// the InferenceSession that session() builds from this object's
-/// surrogates, so there is exactly one f32 and one i8 engine.
+/// construction. propagate() at every precision runs the InferenceSession
+/// that session() builds from this object's surrogates, so there is
+/// exactly one engine per precision.
 class ApDeepSense {
  public:
   explicit ApDeepSense(const Mlp& mlp, ApDeepSenseConfig config = {});
@@ -51,10 +48,10 @@ class ApDeepSense {
   MeanVar propagate(const Matrix& x) const;
 
   /// Propagate an uncertain (Gaussian) input batch — e.g. sensor noise
-  /// models feeding uncertainty in at the input. Dispatches on
-  /// global_precision(): kF64 is the original bit-exact reference path;
-  /// kF32 and kI8 run session(precision) (fused single-precision kernels,
-  /// or i8 hidden layers with an f32 moment head) and widen the result.
+  /// models feeding uncertainty in at the input. Runs
+  /// session(global_precision()): kF64 is the bit-exact reference path;
+  /// kF32 and kI8 run fused single-precision kernels (or i8 hidden layers
+  /// with an f32 moment head) and widen the result.
   MeanVar propagate(const MeanVar& input) const;
 
   /// Propagate at an explicit precision regardless of the global setting.
@@ -64,21 +61,10 @@ class ApDeepSense {
   /// Single-input convenience.
   GaussianVec propagate_one(std::span<const double> x) const;
 
-  /// Propagate and also record the per-layer post-activation Gaussians
-  /// (used by the Fig. 1 toy validation and by tests). layer_outputs[l]
-  /// is the distribution after layer l's activation. Always runs the f64
-  /// reference path — this is the validation surface the Fig. 1 harness
-  /// and the precision-agreement tests compare against, so it must not
-  /// follow the global precision switch.
-  MeanVar propagate_recording(const MeanVar& input,
-                              std::vector<MeanVar>& layer_outputs) const;
-
   /// The session for `precision`, built on first use (thread-safe) from
   /// the bound network and this object's surrogates. A process that only
-  /// ever runs one precision pays for exactly one pack. propagate() at
-  /// kF32/kI8 runs this session; the kF64 session serves callers that
-  /// want planned arenas (ApdEstimator), while propagate() at kF64 keeps
-  /// the reference loop.
+  /// ever runs one precision pays for exactly one pack. propagate() runs
+  /// this session, and ApdEstimator shares it.
   std::shared_ptr<InferenceSession> session(Precision precision) const;
 
   const Mlp& network() const { return *mlp_; }
@@ -88,18 +74,10 @@ class ApDeepSense {
   const PiecewiseLinear& surrogate(std::size_t l) const;
 
  private:
-  MeanVar propagate_f64(const MeanVar& input) const;
-
-  // The f64 reference loop's W∘W is built lazily on first use (thread-safe
-  // via call_once); W itself is read from the Mlp in place.
-  const std::vector<Matrix>& f64_pack() const;
-
   const Mlp* mlp_;  ///< non-owning; must outlive this object
   ApDeepSenseConfig config_;
   std::vector<PiecewiseLinear> surrogates_;  ///< one per layer
 
-  mutable std::once_flag f64_once_;
-  mutable std::vector<Matrix> weight_sq_;  ///< cached W∘W per layer (f64)
   mutable Mutex sessions_mu_;
   mutable std::array<std::shared_ptr<InferenceSession>, 3> sessions_
       APDS_GUARDED_BY(sessions_mu_);

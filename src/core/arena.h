@@ -7,12 +7,12 @@
 //    backs the plan with one contiguous aligned allocation per
 //    (session, thread). Steady-state propagate then only hands out
 //    pointers into that block — zero heap traffic.
-//  * ScratchArena + thread_scratch(): the legacy non-session entry points
-//    (moment_linear, moment_linear_act) still need somewhere to put their
-//    temporaries. They carve slices out of one per-thread grow-on-demand
-//    byte buffer, which replaces the ad-hoc `thread_local MatrixT<...>`
-//    scratch previously scattered through the moment TUs. It allocates
-//    only on growth, so warmed-up legacy calls stay allocation-stable.
+//  * ScratchArena + thread_scratch(): the non-session Matrix-level
+//    moment_linear overloads (per-layer conv/RNN and test callers) still
+//    need somewhere to put their two GEMM inputs. They carve slices out of
+//    one per-thread grow-on-demand byte buffer instead of ad-hoc
+//    `thread_local` scratch. It allocates only on growth, so warmed-up
+//    calls stay allocation-stable.
 //
 // This TU is the single sanctioned home for thread_local scratch state in
 // src/core/ and src/tensor/ — the apds_lint rule `hot-path-thread-local`
@@ -98,8 +98,8 @@ class Arena {
   std::size_t bytes_ = 0;
 };
 
-/// Grow-on-demand scratch for the legacy (non-session) kernel entry points:
-/// one untyped per-thread buffer all of them share, so mixed-precision call
+/// Grow-on-demand scratch for the non-session moment_linear overloads: one
+/// untyped per-thread buffer both precisions share, so mixed-precision call
 /// patterns reuse one block instead of growing one cache per scalar type.
 class ScratchArena {
  public:
@@ -119,7 +119,7 @@ class ScratchArena {
   Arena arena_;
 };
 
-/// The calling thread's scratch arena for legacy entry points.
+/// The calling thread's scratch arena for non-session entry points.
 ScratchArena& thread_scratch();
 
 /// Process-unique id for an arena-owning object (an InferenceSession).

@@ -58,9 +58,9 @@ void InferenceSession::build(const Mlp& mlp) {
     act_names_.push_back(activation_name(layer.act));
   }
 
-  // The f64 pack squares W exactly as ApDeepSense's f64 reference loop
-  // does, so an f64 session is bit-identical to it. ApDeepSense keeps no
-  // f32/i8 packs of its own: it runs those precisions through a session.
+  // No precision packs W∘W in float: the f64 variance GEMM and the fused
+  // f32 tile both square W as they read it. ApDeepSense keeps no packs of
+  // its own: it runs every precision through a session.
   switch (config_.precision) {
     case Precision::kF32:
       // No W∘W pack: the fused f32 tile squares W in-kernel.
@@ -85,13 +85,10 @@ void InferenceSession::build(const Mlp& mlp) {
     }
     default:
       w64_.reserve(layers);
-      wsq64_.reserve(layers);
       b64_.reserve(layers);
       for (std::size_t l = 0; l < layers; ++l) {
-        const DenseLayer& layer = mlp.layer(l);
-        w64_.push_back(layer.weight);
-        wsq64_.push_back(square(layer.weight));
-        b64_.push_back(layer.bias);
+        w64_.push_back(mlp.layer(l).weight);
+        b64_.push_back(mlp.layer(l).bias);
       }
       break;
   }
@@ -105,7 +102,6 @@ void InferenceSession::build(const Mlp& mlp) {
 
   weight_bytes_ = 0;
   for (const Matrix& m : w64_) weight_bytes_ += matrix_bytes(m.size(), 8);
-  for (const Matrix& m : wsq64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : b64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const MatrixF& m : w32_) weight_bytes_ += matrix_bytes(m.size(), 4);
   for (const MatrixF& m : b32_) weight_bytes_ += matrix_bytes(m.size(), 4);
@@ -219,8 +215,7 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
                   precision_name(config_.precision) +
                   "\",\"batch\":" + std::to_string(batch));
   // One relaxed load when profiling is off; under --profile this pass's
-  // counters attribute to the dispatched kernel backend, like the f64
-  // reference loop.
+  // counters attribute to the dispatched kernel backend.
   obs::PerfCounterRegion perf_region;
   if (obs::RequestScope* scope = obs::RequestScope::current())
     scope->set_session(id_);
@@ -285,8 +280,8 @@ void InferenceSession::propagate_f64(const MeanVar& input, MeanVar& out,
                     ",\"out\":" + std::to_string(dims_[l + 1]) +
                     ",\"act\":\"" + act_names_[l] + "\"");
     moment_linear_into(cm, cv, batch, dims_[l], w64_[l].data(),
-                       wsq64_[l].data(), b64_[l].data(), dims_[l + 1],
-                       keep_probs_[l], sm, vi, om, ov);
+                       b64_[l].data(), dims_[l + 1], keep_probs_[l], sm, vi,
+                       om, ov);
     {
       APDS_TRACE_SCOPE("core.moment_activation");
       moment_activation_batch(surrogates_[l], om, ov, batch * dims_[l + 1]);

@@ -2,9 +2,9 @@
 // one precision, with fully planned memory (onnxruntime core/session-style).
 //
 // Construction walks the layer sequence once: it packs the weights for the
-// configured precision (f64 W/W∘W, f32 narrowed W only — the fused tile
-// squares it in-kernel — or i8 symmetric per-channel quantized hidden
-// layers + f32 moment head), resolves the PWL activation surrogates and
+// configured precision (f64 W, f32 narrowed W — the f64 variance GEMM and
+// the fused f32 tile square W as they read it — or i8 symmetric
+// per-channel quantized hidden layers + f32 moment head), resolves the PWL activation surrogates and
 // their kernel packing, and derives the arena layout — every intermediate
 // buffer's shape (post-GEMM moments, fused-tile spill, activation outputs,
 // quantized activation rows) becomes an offset into one contiguous
@@ -14,9 +14,9 @@
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
 // zero-alloc property across precision x backend x thread count, and bit-
-// identity of the f64 session against ApDeepSense's f64 reference loop.
-// ApDeepSense::propagate at f32/i8 runs a session, so there is one engine
-// per precision.
+// identity of the f64 session against a layer-by-layer reference built
+// from public pieces. ApDeepSense::propagate runs a session at every
+// precision, so there is one engine per precision.
 //
 // A session is thread-safe for concurrent propagate() calls (each thread
 // lazily gets its own arena, cached through core/arena.h's per-thread map)
@@ -154,7 +154,7 @@ class InferenceSession {
 
   // Exactly one precision's pack is populated (sessions are per-precision;
   // an estimator that serves several precisions holds several sessions).
-  std::vector<Matrix> w64_, wsq64_, b64_;
+  std::vector<Matrix> w64_, b64_;
   std::vector<MatrixF> w32_, b32_;
   std::vector<QuantizedDenseLayer> qlayers_;  ///< i8 hidden layers
   MatrixF final_w32_, final_b32_;  ///< i8 f32 moment head

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "core/arena.h"
 #include "core/moment_activation.h"
 #include "core/moment_contract.h"
 #include "obs/trace.h"
@@ -84,30 +83,6 @@ void fused_tiles(float* out_mean, float* out_var, const PiecewiseLinear& f,
           }
         }
       });
-}
-
-/// Carve a legacy-path FusedScratchView out of the calling thread's scratch
-/// arena. `with_i8` adds the quantized-row blocks the i8 driver needs.
-FusedScratchView legacy_scratch(std::size_t batch, std::size_t kdim,
-                                bool with_i8) {
-  const std::size_t fblock = arena_round(batch * kdim * sizeof(float));
-  const std::size_t qblock = arena_round(batch * kdim);
-  const std::size_t sblock = arena_round(batch * sizeof(float));
-  std::size_t total = 2 * fblock;
-  if (with_i8) total += 2 * qblock + 2 * sblock;
-  std::byte* base = thread_scratch().require(total);
-  FusedScratchView v;
-  v.sm = reinterpret_cast<float*>(base);
-  v.vi = reinterpret_cast<float*>(base + fblock);
-  if (with_i8) {
-    v.q_sm = reinterpret_cast<std::int8_t*>(base + 2 * fblock);
-    v.q_vi = reinterpret_cast<std::int8_t*>(base + 2 * fblock + qblock);
-    v.sm_scale =
-        reinterpret_cast<float*>(base + 2 * fblock + 2 * qblock);
-    v.vi_scale =
-        reinterpret_cast<float*>(base + 2 * fblock + 2 * qblock + sblock);
-  }
-  return v;
 }
 
 }  // namespace
@@ -192,56 +167,6 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
               });
   APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * n, n,
                            "core.moment_linear_act_i8 output");
-}
-
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& bias, double keep_prob,
-                           const PiecewiseLinear& f) {
-  APDS_CHECK_MSG(input.dim() == weight.rows(), "moment_linear_act: input dim");
-  // The kernels index bias[j] for j up to weight.cols(); check here so a
-  // short bias fails like the unfused path's add_row_broadcast instead of
-  // reading out of bounds.
-  APDS_CHECK_MSG(bias.rows() == 1 && bias.cols() == weight.cols(),
-                 "moment_linear_act: bias shape");
-  APDS_CHECK(keep_prob > 0.0 && keep_prob <= 1.0);
-  const std::size_t batch = input.batch();
-  const std::size_t kdim = input.dim();
-  MeanVarF out(batch, weight.cols());
-  const PwlPack pack = pack_pwl(f);
-  const FusedScratchView scratch =
-      legacy_scratch(batch, kdim, /*with_i8=*/false);
-  moment_linear_act_into(input.mean.data(), input.var.data(), batch, kdim,
-                         weight.data(), bias.data(), weight.cols(), keep_prob,
-                         f, pack.view(), scratch, out.mean.data(),
-                         out.var.data());
-  return out;
-}
-
-MeanVarF moment_linear_act(const MeanVarF& input,
-                           const QuantizedDenseLayer& layer, double keep_prob,
-                           const PiecewiseLinear& f) {
-  APDS_CHECK_MSG(input.dim() == layer.weight.rows,
-                 "moment_linear_act(i8): input dim");
-  APDS_CHECK_MSG(layer.weight_sq.rows == layer.weight.rows &&
-                     layer.weight_sq.cols == layer.weight.cols,
-                 "moment_linear_act(i8): weight_sq shape");
-  APDS_CHECK_MSG(layer.bias.rows() == 1 &&
-                     layer.bias.cols() == layer.weight.cols,
-                 "moment_linear_act(i8): bias shape");
-  APDS_CHECK(keep_prob > 0.0 && keep_prob <= 1.0);
-  APDS_CHECK_MSG(input.dim() <= kMaxQuantizedInnerDim,
-                 "moment_linear_act(i8): inner dim " << input.dim()
-                                                     << " overflows i32");
-  const std::size_t batch = input.batch();
-  const std::size_t kdim = input.dim();
-  MeanVarF out(batch, layer.weight.cols);
-  const PwlPack pack = pack_pwl(f);
-  const FusedScratchView scratch =
-      legacy_scratch(batch, kdim, /*with_i8=*/true);
-  moment_linear_act_into(input.mean.data(), input.var.data(), batch, kdim,
-                         layer, keep_prob, f, pack.view(), scratch,
-                         out.mean.data(), out.var.data());
-  return out;
 }
 
 }  // namespace apds

@@ -48,8 +48,7 @@ QuantizedDenseLayer quantize_dense_layer(const DenseLayer& layer);
 /// Caller-provided scratch for the raw fused entry points: sm/vi are
 /// batch x kdim f32 blocks (prepped GEMM inputs); the q_*/*_scale members
 /// are only dereferenced by the i8 overload (batch x kdim i8 rows plus
-/// per-row dynamic scales). Legacy wrappers carve this from the per-thread
-/// scratch arena; sessions pass arena-planned slices.
+/// per-row dynamic scales). Sessions pass arena-planned slices.
 struct FusedScratchView {
   float* sm = nullptr;
   float* vi = nullptr;
@@ -59,9 +58,12 @@ struct FusedScratchView {
   float* vi_scale = nullptr;
 };
 
-/// Raw-buffer fused f32 layer the Matrix overload delegates to
-/// (bit-identical). `view` is the packed form of `f` (pack_pwl) so repeated
-/// callers hoist the packing; `f` itself is still consulted for the f64
+/// Fused f32 moment_linear -> activation on raw buffers: semantically
+/// moment_linear(...) followed by moment_activation_inplace(f, ...), minus
+/// the intermediate matrices (rounding differs within f32 tolerance; the
+/// variance term squares the f32 weight in-tile, fl32(fl32(w)^2)). `view`
+/// is the packed form of `f` (pack_pwl) so repeated callers hoist the
+/// packing; `f` itself is still consulted for the f64
 /// scalar fixup of near-deterministic lanes. No allocation, no shape
 /// checks.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
@@ -72,8 +74,10 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
 
-/// Raw-buffer fused i8 layer (dynamic per-row input quantization; scratch
-/// must include the q_*/*_scale blocks).
+/// Raw-buffer fused i8 layer: dynamic per-row input quantization (scratch
+/// must include the q_*/*_scale blocks), exact i32 accumulation against
+/// the packed i8 weights, dequantize + bias + PWL activation moments in one
+/// tile pass. Requires kdim <= kMaxQuantizedInnerDim.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const QuantizedDenseLayer& layer,
@@ -81,21 +85,5 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
-
-/// Fused f32 moment_linear -> activation: semantically identical to
-/// moment_linear(...) followed by moment_activation_inplace(f, ...), minus
-/// the intermediate matrices (rounding differs within f32 tolerance; the
-/// variance term squares the f32 weight in-tile, fl32(fl32(w)^2)).
-MeanVarF moment_linear_act(const MeanVarF& input, const MatrixF& weight,
-                           const MatrixF& bias, double keep_prob,
-                           const PiecewiseLinear& f);
-
-/// i8 fused layer: dynamic per-row input quantization, exact i32
-/// accumulation against the packed i8 weights, dequantize + bias + PWL
-/// activation moments in one tile pass. Requires
-/// input.dim() <= kMaxQuantizedInnerDim.
-MeanVarF moment_linear_act(const MeanVarF& input,
-                           const QuantizedDenseLayer& layer, double keep_prob,
-                           const PiecewiseLinear& f);
 
 }  // namespace apds

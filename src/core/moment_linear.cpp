@@ -2,10 +2,8 @@
 
 #include <type_traits>
 
-#include "common/logging.h"
 #include "core/arena.h"
 #include "core/moment_contract.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/thread_pool.h"
 #include "tensor/gemm.h"
@@ -18,6 +16,8 @@ namespace {
 
 constexpr std::size_t kElementwiseGrain = 1 << 15;
 
+// `weight_sq` is read at f32 only: the f64 variance GEMM squares W as it
+// reads it (gemm_sq_buffers), bit-identical to a stored square(W).
 template <typename T>
 void moment_linear_into_impl(const T* in_mean, const T* in_var,
                              std::size_t batch, std::size_t in_dim,
@@ -34,7 +34,7 @@ void moment_linear_into_impl(const T* in_mean, const T* in_var,
   //   var_in      = (mu^2 + sigma^2) p - mu^2 p^2 (Var[y] = var_in W^2)
   {
     // The f32 prep goes through the runtime-dispatched kernel (elementwise,
-    // partition-invariant); the f64 reference loop stays in this TU.
+    // partition-invariant); the f64 prep loop stays in this TU.
     [[maybe_unused]] const KernelOps* ops = nullptr;
     if constexpr (std::is_same_v<T, float>) ops = &kernel_ops();
     parallel_for(0, batch * in_dim, kElementwiseGrain,
@@ -55,8 +55,11 @@ void moment_linear_into_impl(const T* in_mean, const T* in_var,
   gemm_buffers(sm, weight, out_mean, batch, in_dim, out_dim,
                /*accumulate=*/false);
   add_row_broadcast_buffers(out_mean, batch, out_dim, bias);
-  gemm_buffers(vi, weight_sq, out_var, batch, in_dim, out_dim,
-               /*accumulate=*/false);
+  if constexpr (std::is_same_v<T, double>)
+    gemm_sq_buffers(vi, weight, out_var, batch, in_dim, out_dim);
+  else
+    gemm_buffers(vi, weight_sq, out_var, batch, in_dim, out_dim,
+                 /*accumulate=*/false);
 
   // Clamp tiny negative values caused by floating-point cancellation when
   // p == 1 and sigma == 0.
@@ -71,13 +74,14 @@ void moment_linear_into_impl(const T* in_mean, const T* in_var,
 
 template <typename T>
 MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
-                               const MatrixT<T>& weight,
-                               const MatrixT<T>& weight_sq,
+                               const MatrixT<T>& weight, const T* weight_sq,
                                const MatrixT<T>& bias, double keep_prob) {
   APDS_CHECK_MSG(input.dim() == weight.rows(), "moment_linear: input dim");
   APDS_CHECK_MSG(input.var.same_shape(input.mean),
                  "moment_linear: mean/var shape mismatch");
-  APDS_CHECK_MSG(weight_sq.same_shape(weight), "moment_linear: weight_sq");
+  // The bias broadcast reads bias[j] for every output column j.
+  APDS_CHECK_MSG(bias.rows() == 1 && bias.cols() == weight.cols(),
+                 "moment_linear: bias shape");
   APDS_CHECK(keep_prob > 0.0 && keep_prob <= 1.0);
   const std::size_t batch = input.batch();
   const std::size_t in_dim = input.dim();
@@ -86,15 +90,15 @@ MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
 
   // The two GEMM inputs derived from the layer input live in the calling
   // thread's scratch arena: reused across layers, precisions and calls, so
-  // a warmed-up propagate() allocates only its per-layer outputs. Sessions
-  // skip this wrapper entirely and pass arena-planned slices.
+  // a warmed-up call allocates only its outputs. Sessions skip this
+  // wrapper entirely and pass arena-planned slices.
   const std::size_t slice = arena_round(batch * in_dim * sizeof(T));
   std::byte* scratch = thread_scratch().require(2 * slice);
   T* sm = reinterpret_cast<T*>(scratch);
   T* vi = reinterpret_cast<T*>(scratch + slice);
 
   moment_linear_into_impl(input.mean.data(), input.var.data(), batch, in_dim,
-                          weight.data(), weight_sq.data(), bias.data(),
+                          weight.data(), weight_sq, bias.data(),
                           weight.cols(), keep_prob, sm, vi, out.mean.data(),
                           out.var.data());
   return out;
@@ -104,12 +108,12 @@ MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
 
 void moment_linear_into(const double* in_mean, const double* in_var,
                         std::size_t batch, std::size_t in_dim,
-                        const double* weight, const double* weight_sq,
-                        const double* bias, std::size_t out_dim,
-                        double keep_prob, double* sm, double* vi,
-                        double* out_mean, double* out_var) {
-  moment_linear_into_impl(in_mean, in_var, batch, in_dim, weight, weight_sq,
-                          bias, out_dim, keep_prob, sm, vi, out_mean, out_var);
+                        const double* weight, const double* bias,
+                        std::size_t out_dim, double keep_prob, double* sm,
+                        double* vi, double* out_mean, double* out_var) {
+  moment_linear_into_impl(in_mean, in_var, batch, in_dim, weight,
+                          static_cast<const double*>(nullptr), bias, out_dim,
+                          keep_prob, sm, vi, out_mean, out_var);
 }
 
 void moment_linear_into(const float* in_mean, const float* in_var,
@@ -123,31 +127,16 @@ void moment_linear_into(const float* in_mean, const float* in_var,
 }
 
 MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
-                      const Matrix& weight_sq, const Matrix& bias,
-                      double keep_prob) {
-  return moment_linear_impl(input, weight, weight_sq, bias, keep_prob);
+                      const Matrix& bias, double keep_prob) {
+  return moment_linear_impl(input, weight, static_cast<const double*>(nullptr),
+                            bias, keep_prob);
 }
 
 MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
                        const MatrixF& weight_sq, const MatrixF& bias,
                        double keep_prob) {
-  return moment_linear_impl(input, weight, weight_sq, bias, keep_prob);
-}
-
-MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
-                      const Matrix& bias, double keep_prob) {
-#ifndef NDEBUG
-  // The on-the-fly square(weight) is O(in*out) per call; repeated callers
-  // must precompute. Count it so a hot-path regression is visible in any
-  // metrics dump, and whisper at debug verbosity for interactive runs.
-  MetricsRegistry::instance()
-      .counter("moment_linear.weight_sq_recompute")
-      .increment();
-  APDS_DEBUG("moment_linear: recomputing square(weight) ("
-             << weight.rows() << "x" << weight.cols()
-             << "); repeated callers should precompute weight_sq");
-#endif
-  return moment_linear(input, weight, square(weight), bias, keep_prob);
+  APDS_CHECK_MSG(weight_sq.same_shape(weight), "moment_linear: weight_sq");
+  return moment_linear_impl(input, weight, weight_sq.data(), bias, keep_prob);
 }
 
 MeanVar moment_linear(const MeanVar& input, const DenseLayer& layer) {

@@ -14,16 +14,15 @@
 namespace apds {
 
 /// Propagate a batch of diagonal Gaussians through one dense layer's linear
-/// part (weights, bias, dropout) — activation NOT applied. `weight_sq` must
-/// be the elementwise square of `weight`; callers that propagate repeatedly
-/// (ApDeepSense) precompute it once per model.
+/// part (weights, bias, dropout) — activation NOT applied. The variance
+/// GEMM squares W as it reads it (gemm_sq_buffers), so no W∘W is stored.
 MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
-                      const Matrix& weight_sq, const Matrix& bias,
-                      double keep_prob);
+                      const Matrix& bias, double keep_prob);
 
-/// Single-precision fast-path variant. Same math, same loop structure; the
-/// caller supplies f32-packed weights (packed once with to_f32, not per
-/// call).
+/// Single-precision unfused variant. Same math, same loop structure; the
+/// caller supplies f32-packed W and its elementwise square. It serves the
+/// unfused comparator bench rows; the f32 engine is the fused
+/// moment_linear_act_into (core/moment_fused.h), which squares W in-tile.
 MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
                        const MatrixF& weight_sq, const MatrixF& bias,
                        double keep_prob);
@@ -32,29 +31,18 @@ MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
 /// pointers are row-major blocks, `sm`/`vi` are caller-provided batch x
 /// in_dim scratch (scaled mean / variance input of the two GEMMs), and
 /// out_mean/out_var are batch x out_dim. No allocation, no shape checks —
-/// InferenceSession calls this with arena-planned slices.
+/// InferenceSession calls the f64 form with arena-planned slices.
 void moment_linear_into(const double* in_mean, const double* in_var,
                         std::size_t batch, std::size_t in_dim,
-                        const double* weight, const double* weight_sq,
-                        const double* bias, std::size_t out_dim,
-                        double keep_prob, double* sm, double* vi,
-                        double* out_mean, double* out_var);
+                        const double* weight, const double* bias,
+                        std::size_t out_dim, double keep_prob, double* sm,
+                        double* vi, double* out_mean, double* out_var);
 void moment_linear_into(const float* in_mean, const float* in_var,
                         std::size_t batch, std::size_t in_dim,
                         const float* weight, const float* weight_sq,
                         const float* bias, std::size_t out_dim,
                         double keep_prob, float* sm, float* vi,
                         float* out_mean, float* out_var);
-
-/// Convenience overload that squares the weights on the fly. One-shot
-/// callers only: anything that propagates through the same weights more
-/// than once (ApDeepSense, moment_rnn, conv heads) must precompute
-/// square(weight) and use the overload above, or it pays an O(in*out)
-/// allocation + squaring per call. Debug builds count every call in the
-/// `moment_linear.weight_sq_recompute` metric so hot-path regressions show
-/// up in metrics dumps.
-MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
-                      const Matrix& bias, double keep_prob);
 
 /// Convenience overload taking the layer struct.
 MeanVar moment_linear(const MeanVar& input, const DenseLayer& layer);

@@ -49,9 +49,23 @@ Mlp Mlp::make(const MlpSpec& spec, Rng& rng) {
 
 Mlp Mlp::from_layers(std::vector<DenseLayer> layers) {
   APDS_CHECK(!layers.empty());
-  for (std::size_t l = 0; l + 1 < layers.size(); ++l)
-    APDS_CHECK_MSG(layers[l].out_dim() == layers[l + 1].in_dim(),
-                   "layer " << l << " out dim != layer " << l + 1 << " in dim");
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const DenseLayer& layer = layers[l];
+    // Sessions read bias[j] for every output column and trust keep_prob
+    // without checking it per call, so reject both here (NaN included).
+    APDS_CHECK_MSG(layer.keep_prob > 0.0 && layer.keep_prob <= 1.0,
+                   "layer " << l << " keep_prob " << layer.keep_prob
+                            << " outside (0, 1]");
+    APDS_CHECK_MSG(layer.bias.rows() == 1 &&
+                       layer.bias.cols() == layer.weight.cols(),
+                   "layer " << l << " bias is " << layer.bias.rows() << "x"
+                            << layer.bias.cols() << ", want 1x"
+                            << layer.weight.cols());
+    if (l + 1 < layers.size())
+      APDS_CHECK_MSG(layer.out_dim() == layers[l + 1].in_dim(),
+                     "layer " << l << " out dim != layer " << l + 1
+                              << " in dim");
+  }
   Mlp mlp;
   mlp.layers_ = std::move(layers);
   return mlp;

@@ -80,6 +80,9 @@ Mlp load_model(const std::string& path) {
     is.read(reinterpret_cast<char*>(&layer.keep_prob),
             sizeof(layer.keep_prob));
     if (!is) throw IoError("model file: truncated keep_prob");
+    // Negated so NaN is rejected too.
+    if (!(layer.keep_prob > 0.0 && layer.keep_prob <= 1.0))
+      throw IoError("model file: keep_prob outside (0, 1]");
     layer.weight = read_matrix(is);
     layer.bias = read_matrix(is);
     if (layer.bias.rows() != 1 || layer.bias.cols() != layer.weight.cols())

@@ -57,7 +57,7 @@ struct RequestRecord {
   std::uint64_t allocs = 0;
   std::uint64_t alloc_bytes = 0;
   /// InferenceSession id the request ran through (0 = no session, e.g.
-  /// the f64 ApDeepSense reference loop). Lets flight dumps segment per
+  /// MCDrop or moment_rnn). Lets flight dumps segment per
   /// model when a SessionRegistry serves several concurrently.
   std::uint64_t session = 0;
 };

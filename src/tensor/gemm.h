@@ -25,6 +25,12 @@ void gemm_buffers(const double* a, const double* b, double* c, std::size_t m,
 void gemm_buffers(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate);
 
+/// C = A * (B∘B) on raw row-major buffers, B∘B the elementwise square of B,
+/// squared as it is read: bit-identical to gemm_buffers(a, square(B), ...)
+/// without storing the square. The f64 variance GEMM of moment_linear.
+void gemm_sq_buffers(const double* a, const double* b, double* c,
+                     std::size_t m, std::size_t k, std::size_t n);
+
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. C is overwritten.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm(const MatrixF& a, const MatrixF& b, MatrixF& c);

@@ -3,8 +3,8 @@
 // Prediction runs through the propagator's per-precision InferenceSessions
 // (planned arenas, zero steady-state allocations inside propagate), so the
 // estimator and its ApDeepSense share one session per precision. The
-// propagator also serves callers that need its recording/explicit-precision
-// surface (e.g. the Fig. 1 harness and the input-noise bench).
+// propagator also serves callers that need its explicit-precision or
+// Gaussian-input surface (e.g. the input-noise bench).
 #pragma once
 
 #include <memory>

@@ -7,6 +7,7 @@
 #include "common/precision.h"
 #include "common/rng.h"
 #include "conv/conv_apdeepsense.h"
+#include "moment_reference.h"
 #include "stats/running_stats.h"
 #include "tensor/ops.h"
 
@@ -128,17 +129,22 @@ TEST(ApDeepSense, PropagateOneMatchesBatch) {
   }
 }
 
+// The per-layer distributions come from the test-local reference pass
+// (moment_reference.h); its last layer is the engine's output, bit for bit.
 TEST(ApDeepSense, RecordingReturnsPerLayerDistributions) {
   Rng rng(7);
   const Mlp mlp = random_mlp({4, 7, 5, 3}, Activation::kRelu, 0.9, rng);
   const ApDeepSense apd(mlp);
+  const MeanVar input = MeanVar::point(Matrix(1, 4, 0.5));
   std::vector<MeanVar> layers;
-  const MeanVar out =
-      apd.propagate_recording(MeanVar::point(Matrix(1, 4, 0.5)), layers);
+  const MeanVar out = testing::reference_propagate(apd, input, &layers);
   ASSERT_EQ(layers.size(), 3u);
   EXPECT_EQ(layers[0].dim(), 7u);
   EXPECT_EQ(layers[1].dim(), 5u);
   EXPECT_LT(max_abs_diff(layers[2].mean, out.mean), 1e-15);
+  const MeanVar engine = apd.propagate(input, Precision::kF64);
+  EXPECT_EQ(max_abs_diff(engine.mean, out.mean), 0.0);
+  EXPECT_EQ(max_abs_diff(engine.var, out.var), 0.0);
   // ReLU outputs are non-negative; so must be their approximated means.
   for (double v : layers[0].mean.flat()) EXPECT_GE(v, -1e-12);
 }

@@ -1,8 +1,8 @@
 // InferenceSession and SessionRegistry: the zero-alloc steady-state
-// contract (the whole point of planned arenas), bit-identity against
-// ApDeepSense's f64 reference loop, ApDeepSense running its own sessions at
-// f32/i8, arena replanning/trim, and the registry's LRU/budget/eviction
-// behavior.
+// contract (the whole point of planned arenas), f64 bit-identity against a
+// test-local reference built from public pieces, ApDeepSense running its
+// own sessions at every precision, arena replanning/trim, and the
+// registry's LRU/budget/eviction behavior.
 #include "core/inference_session.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "core/adaptive_surrogate.h"
 #include "core/apdeepsense.h"
 #include "core/session_registry.h"
+#include "moment_reference.h"
 #include "obs/alloc_stats.h"
 #include "obs/metrics.h"
 #include "platform/thread_pool.h"
@@ -70,16 +71,17 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(session.propagate_count(), 1u);
 
   // Exact packed footprints, which SessionRegistry budgets against. f64
-  // keeps W, W∘W and b; f32 keeps W and b only (the fused tile squares W
-  // in-kernel, so no W∘W pack may come back unnoticed); i8 keeps i8 W and
-  // W∘W plus one f32 scale per column each and an f32 bias for the hidden
-  // layers, and an f32 W and b for the moment head.
+  // and f32 keep W and b only (the f64 variance GEMM and the fused f32
+  // tile square W as they read it, so no W∘W pack may come back
+  // unnoticed); i8 keeps i8 W and W∘W plus one f32 scale per column each
+  // and an f32 bias for the hidden layers, and an f32 W and b for the
+  // moment head.
   std::size_t f64_bytes = 0, f32_bytes = 0, i8_bytes = 0;
   for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
     const DenseLayer& layer = mlp.layer(l);
     const std::size_t w = layer.weight.size();
     const std::size_t b = layer.bias.size();
-    f64_bytes += 8 * (2 * w + b);
+    f64_bytes += 8 * (w + b);
     f32_bytes += 4 * (w + b);
     i8_bytes += l + 1 < mlp.num_layers()
                     ? 2 * w + 2 * 4 * layer.out_dim() + 4 * b
@@ -105,13 +107,13 @@ void expect_bit_identical(const MeanVar& got, const MeanVar& want) {
     }
 }
 
-// One engine per precision. At f64, ApDeepSense keeps its own
-// layer-by-layer reference loop, and an f64 session must reproduce it bit
-// for bit: the session is a pure refactor of that loop, not a
-// numerically-adjacent reimplementation. At f32/i8, ApDeepSense::propagate
-// IS its session: the estimator shares it, every call counts on it, and it
-// is built from the propagator's own surrogates (calibrated ones included),
-// not re-derived from saturating_pieces.
+// One engine per precision: ApDeepSense::propagate IS its session. At f64
+// the session, ApDeepSense and the test-local layer-by-layer reference
+// (moment_reference.h) agree bit for bit: squaring W inside the variance
+// GEMM is exactly a GEMM against a stored square(W). At f32/i8 the
+// estimator shares the session, every call counts on it, and it is built
+// from the propagator's own surrogates (calibrated ones included), not
+// re-derived from saturating_pieces.
 TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   Rng rng(29);
   const Mlp mlp = random_mlp({10, 24, 24, 4}, Activation::kTanh, 0.85, rng);
@@ -121,8 +123,10 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   {
     const ApDeepSense apd(mlp);
     const InferenceSession session(mlp);
-    expect_bit_identical(session.propagate(input),
-                         apd.propagate(input, Precision::kF64));
+    const MeanVar reference = testing::reference_propagate(apd, input);
+    expect_bit_identical(session.propagate(input), reference);
+    expect_bit_identical(apd.propagate(input, Precision::kF64), reference);
+    EXPECT_EQ(apd.session(Precision::kF64)->propagate_count(), 1u);
   }
 
   const ApdEstimator estimator(mlp);
@@ -155,25 +159,31 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
 TEST(InferenceSession, ApDeepSenseBuildsOneSessionUnderConcurrentFirstUse) {
   Rng rng(37);
   const Mlp mlp = random_mlp({8, 16, 3}, Activation::kTanh, 0.9, rng);
-  const ApDeepSense apd(mlp);
   const MeanVar input = MeanVar::point(random_matrix(2, 8, rng));
 
-  constexpr int kThreads = 4;
-  std::vector<std::shared_ptr<InferenceSession>> seen(kThreads);
-  std::vector<MeanVar> outs(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      outs[t] = apd.propagate(input, Precision::kF32);
-      seen[t] = apd.session(Precision::kF32);
-    });
-  for (std::thread& t : threads) t.join();
+  for (const Precision precision :
+       {Precision::kF64, Precision::kF32, Precision::kI8}) {
+    SCOPED_TRACE(precision_name(precision));
+    const ApDeepSense apd(mlp);
+    constexpr int kThreads = 4;
+    std::vector<std::shared_ptr<InferenceSession>> seen(kThreads);
+    std::vector<MeanVar> outs(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        outs[t] = apd.propagate(input, precision);
+        seen[t] = apd.session(precision);
+      });
+    for (std::thread& t : threads) t.join();
 
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(seen[t].get(), seen[0].get());
-    expect_bit_identical(outs[t], outs[0]);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t].get(), seen[0].get());
+      expect_bit_identical(outs[t], outs[0]);
+    }
+    EXPECT_EQ(seen[0]->precision(), precision);
+    EXPECT_EQ(seen[0]->propagate_count(),
+              static_cast<std::uint64_t>(kThreads));
   }
-  EXPECT_EQ(seen[0]->propagate_count(), static_cast<std::uint64_t>(kThreads));
 }
 
 // The tentpole claim: a warmed-up propagate() into a reused output batch

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nn/loss.h"
 #include "tensor/ops.h"
 
@@ -56,6 +58,31 @@ TEST(Mlp, FromLayersValidatesChaining) {
   layers.push_back(a);
   layers.push_back(b);
   EXPECT_THROW(Mlp::from_layers(std::move(layers)), InvalidArgument);
+}
+
+TEST(Mlp, FromLayersRejectsKeepProbOutsideUnitInterval) {
+  for (const double keep_prob :
+       {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(keep_prob);
+    DenseLayer layer;
+    layer.weight = Matrix(3, 4);
+    layer.bias = Matrix(1, 4);
+    layer.keep_prob = keep_prob;
+    EXPECT_THROW(Mlp::from_layers({layer}), InvalidArgument);
+  }
+}
+
+TEST(Mlp, FromLayersRejectsBiasThatIsNotOneByOut) {
+  for (const Matrix& bias : {Matrix(1, 3), Matrix(4, 1), Matrix(2, 4)}) {
+    DenseLayer layer;
+    layer.weight = Matrix(3, 4);
+    layer.bias = bias;
+    EXPECT_THROW(Mlp::from_layers({layer}), InvalidArgument);
+  }
+  DenseLayer ok;
+  ok.weight = Matrix(3, 4);
+  ok.bias = Matrix(1, 4);
+  EXPECT_NO_THROW(Mlp::from_layers({ok}));
 }
 
 TEST(Mlp, DeterministicEqualsStochasticWithoutDropout) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
@@ -86,6 +87,20 @@ TEST_F(ModelIoTest, TruncatedFileThrows) {
   out << data;
   out.close();
   EXPECT_THROW(load_model(path("trunc.apds")), IoError);
+}
+
+// save_model writes whatever keep_prob the Mlp holds; load_model must not
+// hand a session a keep-probability outside (0, 1], NaN included.
+TEST_F(ModelIoTest, KeepProbOutsideUnitIntervalRejected) {
+  for (const double keep_prob :
+       {0.0, -0.25, 1.25, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(keep_prob);
+    Rng rng(4);
+    Mlp mlp = make_model(rng);
+    mlp.mutable_layer(1).keep_prob = keep_prob;
+    save_model(mlp, path("bad_keep.apds"));
+    EXPECT_THROW(load_model(path("bad_keep.apds")), IoError);
+  }
 }
 
 TEST_F(ModelIoTest, IsModelFileRecognizesGoodFiles) {

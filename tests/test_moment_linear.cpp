@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "moment_reference.h"
 #include "stats/running_stats.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -66,11 +67,16 @@ TEST(MomentLinear, PrecomputedSquareMatchesOnTheFly) {
   for (double& v : input.mean.flat()) v = rng.normal();
   for (double& v : input.var.flat()) v = std::fabs(rng.normal());
 
+  // The variance GEMM squares W as it reads it; the test-local reference
+  // runs a plain GEMM against a stored square(W). Bit for bit the same.
   const MeanVar a = moment_linear(input, layer);
-  const MeanVar b = moment_linear(input, layer.weight, square(layer.weight),
-                                  layer.bias, layer.keep_prob);
-  EXPECT_LT(max_abs_diff(a.mean, b.mean), 1e-15);
-  EXPECT_LT(max_abs_diff(a.var, b.var), 1e-15);
+  const MeanVar b =
+      moment_linear(input, layer.weight, layer.bias, layer.keep_prob);
+  const MeanVar ref = testing::reference_moment_linear(input, layer);
+  EXPECT_EQ(max_abs_diff(a.mean, ref.mean), 0.0);
+  EXPECT_EQ(max_abs_diff(a.var, ref.var), 0.0);
+  EXPECT_EQ(max_abs_diff(b.mean, ref.mean), 0.0);
+  EXPECT_EQ(max_abs_diff(b.var, ref.var), 0.0);
 }
 
 TEST(MomentLinear, SingleVectorMatchesBatchRow) {
@@ -104,6 +110,29 @@ TEST(MomentLinear, ShapeAndParamValidation) {
                InvalidArgument);
   EXPECT_THROW(moment_linear(ok, layer.weight, layer.bias, 1.5),
                InvalidArgument);
+}
+
+// A bias that is not 1 x out_dim would be read out of bounds by the bias
+// broadcast; both precisions reject it up front.
+TEST(MomentLinear, BiasShapeIsChecked) {
+  Rng rng(5);
+  const DenseLayer layer = random_layer(3, 4, 0.9, rng);
+  const MeanVar ok(2, 3);
+  const Matrix short_bias(1, 2);
+  const Matrix tall_bias(4, 1);
+  EXPECT_THROW(moment_linear(ok, layer.weight, short_bias, 0.9),
+               InvalidArgument);
+  EXPECT_THROW(moment_linear(ok, layer.weight, tall_bias, 0.9),
+               InvalidArgument);
+
+  const MatrixF wf = to_f32(layer.weight);
+  const MatrixF w2f = to_f32(square(layer.weight));
+  EXPECT_THROW(moment_linear(to_f32(ok), wf, w2f, to_f32(short_bias), 0.9),
+               InvalidArgument);
+  EXPECT_THROW(moment_linear(to_f32(ok), wf, w2f, to_f32(tall_bias), 0.9),
+               InvalidArgument);
+  EXPECT_NO_THROW(
+      moment_linear(to_f32(ok), wf, w2f, to_f32(layer.bias), 0.9));
 }
 
 // Property-based validation: the closed form must match Monte-Carlo
