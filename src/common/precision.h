@@ -1,7 +1,9 @@
 // Process-wide inference precision selection.
 //
 // The moment kernels exist in three widths: the f64 reference path
-// (bit-identical across releases, used by training and all validation),
+// (bit-identical across thread counts; on the scalar kernel tier,
+// bit-identical to the plain f64 GEMM reference; used by training and all
+// validation),
 // an f32 fast path (packed single-precision weights + vectorized
 // polynomial erf/exp, ~2x the SIMD lanes and half the memory traffic) and
 // an i8 quantized path (per-output-channel symmetric weights, exact i32

@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <fstream>
+#include <string>
 
+#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 #include "tensor/tensor_io.h"
 
 namespace apds {
@@ -46,6 +49,15 @@ double read_f64(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!is) throw IoError("conv net file: truncated double");
   return v;
+}
+
+// The f64 moment tile has no zero-input skip: a non-finite weight facing
+// a dropped (zero) input would turn its whole output column into NaN.
+void check_finite(const char* kind, std::uint64_t l, const Matrix& weight,
+                  const Matrix& bias) {
+  if (!all_finite(weight) || !all_finite(bias))
+    throw IoError(std::string("conv net file: ") + kind + " " +
+                  std::to_string(l) + " has a non-finite weight or bias");
 }
 }  // namespace
 
@@ -112,7 +124,13 @@ ConvNet load_conv_net(const std::string& path) {
     layer.channel_keep_prob = read_f64(is);
     layer.weight = read_matrix(is);
     layer.bias = read_matrix(is);
-    layer.check();
+    check_finite("conv layer", l, layer.weight, layer.bias);
+    try {
+      layer.check();
+    } catch (const InvalidArgument& e) {
+      throw IoError("conv net file: conv layer " + std::to_string(l) + ": " +
+                    e.what());
+    }
     convs.push_back(std::move(layer));
   }
 
@@ -127,12 +145,20 @@ ConvNet load_conv_net(const std::string& path) {
     layer.keep_prob = read_f64(is);
     layer.weight = read_matrix(is);
     layer.bias = read_matrix(is);
+    check_finite("head layer", l, layer.weight, layer.bias);
     head_layers.push_back(std::move(layer));
   }
   MetricsRegistry::instance().counter("io.conv_net_bytes_read").add(
       static_cast<std::int64_t>(is.tellg()));
+  Mlp head;
+  try {
+    // from_layers names the offending layer in its message.
+    head = Mlp::from_layers(std::move(head_layers));
+  } catch (const InvalidArgument& e) {
+    throw IoError(std::string("conv net file: head ") + e.what());
+  }
   return ConvNet(input_len, input_channels, std::move(convs),
-                 Mlp::from_layers(std::move(head_layers)));
+                 std::move(head));
 }
 
 bool is_conv_net_file(const std::string& path) {

@@ -58,8 +58,8 @@ void InferenceSession::build(const Mlp& mlp) {
     act_names_.push_back(activation_name(layer.act));
   }
 
-  // No precision packs W∘W in float: the f64 variance GEMM and the fused
-  // f32 tile both square W as they read it. ApDeepSense keeps no packs of
+  // No precision packs W∘W in float: the dispatched f64 and f32 moment
+  // tiles both square W as they read it. ApDeepSense keeps no packs of
   // its own: it runs every precision through a session.
   switch (config_.precision) {
     case Precision::kF32:
@@ -136,7 +136,7 @@ InferenceSession::ArenaPlan InferenceSession::plan_for(
   for (std::size_t i = lo; i <= hi && L > 0; ++i)
     slot_dim[i % 2] = std::max(slot_dim[i % 2], dims_[i]);
 
-  // The prepped GEMM inputs (scaled mean / variance input) are rebuilt per
+  // The prepped tile inputs (scaled mean / variance input) are rebuilt per
   // layer from the live h, so one batch x max_in_dim pair serves them all.
   std::size_t max_in = 0;
   for (std::size_t l = 0; l < L; ++l) max_in = std::max(max_in, dims_[l]);

@@ -2,21 +2,22 @@
 // one precision, with fully planned memory (onnxruntime core/session-style).
 //
 // Construction walks the layer sequence once: it packs the weights for the
-// configured precision (f64 W, f32 narrowed W — the f64 variance GEMM and
-// the fused f32 tile square W as they read it — or i8 symmetric
-// per-channel quantized hidden layers + f32 moment head), resolves the PWL activation surrogates and
-// their kernel packing, and derives the arena layout — every intermediate
-// buffer's shape (post-GEMM moments, fused-tile spill, activation outputs,
-// quantized activation rows) becomes an offset into one contiguous
-// per-(session, thread) arena, with ping-pong parity reuse so two layer
-// buffers back the whole depth. Steady-state
+// configured precision (f64 W, f32 narrowed W — the dispatched f64 and f32
+// moment tiles square W as they read it — or i8 symmetric per-channel
+// quantized hidden layers + f32 moment head), resolves the PWL activation
+// surrogates and their kernel packing, and derives the arena layout —
+// every intermediate buffer's shape (pre-activation moments, fused-tile
+// spill, activation outputs, quantized activation rows) becomes an offset
+// into one contiguous per-(session, thread) arena, with ping-pong parity
+// reuse so two layer buffers back the whole depth. Steady-state
 // propagate() therefore performs ZERO heap allocations: it hands out arena
 // pointers, runs the raw moment_*_into kernels, and writes into a
 // caller-reused output batch. tests/test_inference_session.cpp asserts the
 // zero-alloc property across precision x backend x thread count, and bit-
-// identity of the f64 session against a layer-by-layer reference built
-// from public pieces. ApDeepSense::propagate runs a session at every
-// precision, so there is one engine per precision.
+// identity of the f64 session at the scalar kernel tier against a
+// layer-by-layer reference built from public pieces.
+// ApDeepSense::propagate runs a session at every precision, so there is
+// one engine per precision.
 //
 // A session is thread-safe for concurrent propagate() calls (each thread
 // lazily gets its own arena, cached through core/arena.h's per-thread map)
@@ -111,8 +112,8 @@ class InferenceSession {
  private:
   /// Offsets (bytes into the arena) of every planned slice. Intermediate
   /// layer batches ping-pong between two parity slots; sm/vi are the
-  /// prepped GEMM inputs reused by every layer; the q_*/scale slices exist
-  /// only at i8.
+  /// prepped moment-tile inputs reused by every layer; the q_*/scale slices
+  /// exist only at i8.
   struct ArenaPlan {
     std::size_t batch = 0;
     std::size_t bytes = 0;

@@ -1,5 +1,6 @@
 #include "core/moment_linear.h"
 
+#include <algorithm>
 #include <type_traits>
 
 #include "core/arena.h"
@@ -15,9 +16,39 @@ namespace apds {
 namespace {
 
 constexpr std::size_t kElementwiseGrain = 1 << 15;
+constexpr std::size_t kMinFlopsPerChunk = 1 << 16;
+constexpr std::size_t kTile = kKernelMomentTile;
+constexpr std::size_t kRows = kKernelMomentRows;
 
-// `weight_sq` is read at f32 only: the f64 variance GEMM squares W as it
-// reads it (gemm_sq_buffers), bit-identical to a stored square(W).
+/// Both f64 moment products, bias and clamp through the dispatched tile.
+/// Work units are fused_tiles' fixed (row-block x column-tile) pairs
+/// (core/moment_fused.cpp), so the result is bit-identical across thread
+/// counts within a kernel tier.
+void moment_tiles_f64(const double* sm, const double* vi,
+                      const double* weight, const double* bias,
+                      std::size_t batch, std::size_t kdim, std::size_t n,
+                      double* out_mean, double* out_var) {
+  const KernelOps& ops = kernel_ops();
+  const std::size_t tiles_per_row = (n + kTile - 1) / kTile;
+  const std::size_t row_blocks = (batch + kRows - 1) / kRows;
+  const std::size_t block_flops = 4 * kdim * kTile * kRows;
+  const std::size_t grain =
+      std::max<std::size_t>(1, kMinFlopsPerChunk / (block_flops + 1));
+  parallel_for(0, row_blocks * tiles_per_row, grain,
+               [&](std::size_t lo, std::size_t hi) {
+                 for (std::size_t t = lo; t < hi; ++t) {
+                   const std::size_t r0 = (t / tiles_per_row) * kRows;
+                   const std::size_t j0 = (t % tiles_per_row) * kTile;
+                   ops.moment_tile_f64(sm, vi, weight, bias, kdim, n, r0,
+                                       std::min(batch, r0 + kRows), j0,
+                                       std::min(n, j0 + kTile), out_mean,
+                                       out_var);
+                 }
+               });
+}
+
+// `weight_sq` is read at f32 only: the f64 tile squares W in-kernel,
+// bit-identical to a stored square(W) on the scalar tier.
 template <typename T>
 void moment_linear_into_impl(const T* in_mean, const T* in_var,
                              std::size_t batch, std::size_t in_dim,
@@ -29,7 +60,7 @@ void moment_linear_into_impl(const T* in_mean, const T* in_var,
   const T p = static_cast<T>(keep_prob);
   const T p2 = p * p;
 
-  // One fused elementwise pass builds both GEMM inputs:
+  // One fused elementwise pass builds both product inputs:
   //   scaled_mean = mu p                          (E[y] = (mu p) W + b)
   //   var_in      = (mu^2 + sigma^2) p - mu^2 p^2 (Var[y] = var_in W^2)
   {
@@ -52,22 +83,23 @@ void moment_linear_into_impl(const T* in_mean, const T* in_var,
                  });
   }
 
-  gemm_buffers(sm, weight, out_mean, batch, in_dim, out_dim,
-               /*accumulate=*/false);
-  add_row_broadcast_buffers(out_mean, batch, out_dim, bias);
-  if constexpr (std::is_same_v<T, double>)
-    gemm_sq_buffers(vi, weight, out_var, batch, in_dim, out_dim);
-  else
+  if constexpr (std::is_same_v<T, double>) {
+    moment_tiles_f64(sm, vi, weight, bias, batch, in_dim, out_dim, out_mean,
+                     out_var);
+  } else {
+    gemm_buffers(sm, weight, out_mean, batch, in_dim, out_dim,
+                 /*accumulate=*/false);
+    add_row_broadcast_buffers(out_mean, batch, out_dim, bias);
     gemm_buffers(vi, weight_sq, out_var, batch, in_dim, out_dim,
                  /*accumulate=*/false);
-
-  // Clamp tiny negative values caused by floating-point cancellation when
-  // p == 1 and sigma == 0.
-  parallel_for(0, batch * out_dim, kElementwiseGrain,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i)
-                   if (out_var[i] < T(0)) out_var[i] = T(0);
-               });
+    // Clamp tiny negative values caused by floating-point cancellation
+    // when p == 1 and sigma == 0.
+    parallel_for(0, batch * out_dim, kElementwiseGrain,
+                 [&](std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i)
+                     if (out_var[i] < T(0)) out_var[i] = T(0);
+                 });
+  }
   APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * out_dim, out_dim,
                            "core.moment_linear output");
 }
@@ -88,7 +120,7 @@ MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
 
   MeanVarT<T> out(batch, weight.cols());
 
-  // The two GEMM inputs derived from the layer input live in the calling
+  // The two product inputs derived from the layer input live in the calling
   // thread's scratch arena: reused across layers, precisions and calls, so
   // a warmed-up call allocates only its outputs. Sessions skip this
   // wrapper entirely and pass arena-planned slices.

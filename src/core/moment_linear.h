@@ -14,8 +14,11 @@
 namespace apds {
 
 /// Propagate a batch of diagonal Gaussians through one dense layer's linear
-/// part (weights, bias, dropout) — activation NOT applied. The variance
-/// GEMM squares W as it reads it (gemm_sq_buffers), so no W∘W is stored.
+/// part (weights, bias, dropout) — activation NOT applied. Both products
+/// run through the runtime-dispatched f64 moment tile, which squares W
+/// in-kernel, so no W∘W is stored. The scalar kernel tier is bit-identical
+/// to the plain f64 GEMMs against W and square(W); avx2/avx512 contract to
+/// FMA and agree with it to ~1e-14 relative.
 MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
                       const Matrix& bias, double keep_prob);
 
@@ -29,7 +32,7 @@ MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
 
 /// Raw-buffer core the Matrix overloads delegate to (bit-identical): all
 /// pointers are row-major blocks, `sm`/`vi` are caller-provided batch x
-/// in_dim scratch (scaled mean / variance input of the two GEMMs), and
+/// in_dim scratch (scaled mean / variance input of the two products), and
 /// out_mean/out_var are batch x out_dim. No allocation, no shape checks —
 /// InferenceSession calls the f64 form with arena-planned slices.
 void moment_linear_into(const double* in_mean, const double* in_var,

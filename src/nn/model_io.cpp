@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 #include "tensor/tensor_io.h"
 
 namespace apds {
@@ -87,6 +89,11 @@ Mlp load_model(const std::string& path) {
     layer.bias = read_matrix(is);
     if (layer.bias.rows() != 1 || layer.bias.cols() != layer.weight.cols())
       throw IoError("model file: inconsistent layer shapes");
+    // The f64 moment tile has no zero-input skip: a non-finite weight
+    // facing a dropped (zero) input would turn its output column into NaN.
+    if (!all_finite(layer.weight) || !all_finite(layer.bias))
+      throw IoError("model file: layer " + std::to_string(l) +
+                    " has a non-finite weight or bias");
     layers.push_back(std::move(layer));
   }
   MetricsRegistry::instance().counter("io.model_bytes_read").add(

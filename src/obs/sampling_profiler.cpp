@@ -57,9 +57,14 @@ struct ThreadState {
 };
 
 Mutex g_registry_mu;
+// Never destroyed: a function-local vector would die during static
+// destruction, before LeakSanitizer's exit scan, leaving the deliberately
+// leaked ThreadStates of still-running pool workers unreachable (a leak
+// report) and a late signal or worker touching a destroyed vector.
 std::vector<ThreadState*>& registry() {
-  static std::vector<ThreadState*> threads;
-  return threads;
+  static auto* threads =
+      new std::vector<ThreadState*>();  // apds-lint: allow(naked-new)
+  return *threads;
 }
 thread_local ThreadState* tl_state = nullptr;
 

@@ -22,10 +22,7 @@ constexpr std::size_t kMinFlopsPerChunk = 1 << 16;
 // tiling of the output produces bit-identical results. The f64 reference
 // keeps this TU's default flags; the f32 twin lives in the dispatched
 // kernel tiers (tensor/kernels/) and is selected per CPU at runtime.
-// SquareB reads B as B∘B: fl(b*b) is exactly what a stored square(B) holds
-// and the k order is unchanged, so C = A·(B∘B) is bit-identical to a GEMM
-// against the stored square, without the square ever existing.
-template <typename T, bool SquareB = false>
+template <typename T>
 void gemm_tile(const T* ad, const T* bd, T* cd, std::size_t k, std::size_t n,
                bool accumulate, std::size_t i0, std::size_t i1, std::size_t j0,
                std::size_t j1) {
@@ -41,21 +38,15 @@ void gemm_tile(const T* ad, const T* bd, T* cd, std::size_t k, std::size_t n,
         const T aik = arow[kk];
         if (aik == T(0)) continue;  // dropout rows are exactly zero
         const T* brow = bd + kk * n;
-        if constexpr (SquareB)
-          for (std::size_t j = j0; j < j1; ++j)
-            crow[j] += aik * (brow[j] * brow[j]);
-        else
-          for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
+        for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
       }
     }
   }
 }
 
-template <typename T, bool SquareB = false>
+template <typename T>
 void gemm_buffers_impl(const T* ad, const T* bd, T* cd, std::size_t m,
                        std::size_t k, std::size_t n, bool accumulate) {
-  static_assert(!SquareB || std::is_same_v<T, double>,
-                "the squared-B GEMM is the f64 variance path only");
   // Resolve the kernel table once per call, not per tile (atomic load).
   [[maybe_unused]] const KernelOps* ops = nullptr;
   if constexpr (std::is_same_v<T, float>) ops = &kernel_ops();
@@ -64,7 +55,7 @@ void gemm_buffers_impl(const T* ad, const T* bd, T* cd, std::size_t m,
     if constexpr (std::is_same_v<T, float>)
       ops->gemm_tile_f32(ad, bd, cd, k, n, accumulate, i0, i1, j0, j1);
     else
-      gemm_tile<T, SquareB>(ad, bd, cd, k, n, accumulate, i0, i1, j0, j1);
+      gemm_tile(ad, bd, cd, k, n, accumulate, i0, i1, j0, j1);
   };
   // Rows are the natural unit of parallel work (disjoint C rows, A rows
   // read once per worker); for skinny batches — the single-input inference
@@ -194,12 +185,6 @@ void gemm_buffers(const double* a, const double* b, double* c, std::size_t m,
 void gemm_buffers(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate) {
   gemm_buffers_impl(a, b, c, m, k, n, accumulate);
-}
-
-void gemm_sq_buffers(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t k, std::size_t n) {
-  gemm_buffers_impl<double, /*SquareB=*/true>(a, b, c, m, k, n,
-                                              /*accumulate=*/false);
 }
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {

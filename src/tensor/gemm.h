@@ -5,11 +5,13 @@
 // performance backbone of both training and MCDrop inference.
 //
 // Every kernel exists at both scalar widths: the f64 overloads are the
-// reference/training path (bit-identical to previous releases), the
-// MatrixF overloads are the single-precision inference fast path (same
-// blocking and per-element accumulation order, twice the SIMD lanes and
-// half the memory traffic). Both are parallelized over the shared pool
-// with partition-independent results.
+// reference/training path (nn, the trainer, MCDrop; default flags,
+// bit-identical to previous releases), the MatrixF overloads are the
+// single-precision fast path (same blocking and per-element accumulation
+// order, twice the SIMD lanes and half the memory traffic). Both are
+// parallelized over the shared pool with partition-independent results.
+// The moment passes do not run here: ApDeepSense's f64 and f32 engines
+// use the dispatched moment tiles (tensor/kernels/kernel_dispatch.h).
 #pragma once
 
 #include "tensor/matrix.h"
@@ -24,12 +26,6 @@ void gemm_buffers(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate);
 void gemm_buffers(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate);
-
-/// C = A * (B∘B) on raw row-major buffers, B∘B the elementwise square of B,
-/// squared as it is read: bit-identical to gemm_buffers(a, square(B), ...)
-/// without storing the square. The f64 variance GEMM of moment_linear.
-void gemm_sq_buffers(const double* a, const double* b, double* c,
-                     std::size_t m, std::size_t k, std::size_t n);
 
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. C is overwritten.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);

@@ -1,13 +1,14 @@
 // Runtime CPU-feature kernel dispatch (MLAS-style).
 //
-// The f32/i8 hot kernels exist in three builds of one shared body
-// (kernel_body.inl): a baseline TU compiled with the project defaults
-// (SSE2 on x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL
-// — BW is what gives the i8 kernels 512-bit vpmaddwd), each with its own
-// -m flags (see src/tensor/CMakeLists.txt). At startup the dispatcher
-// probes CPUID once and binds the best supported table; every caller goes
-// through kernel_ops() function pointers, so one binary serves the whole
-// ISA range an IoT fleet actually spans.
+// The hot inference kernels exist in three builds of one shared body
+// (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment
+// tile): a baseline TU compiled with the project defaults (SSE2 on
+// x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL — BW is
+// what gives the i8 kernels 512-bit vpmaddwd), each with its own -m flags
+// (see src/tensor/CMakeLists.txt). At startup the dispatcher probes CPUID
+// once and binds the best supported table; every caller goes through
+// kernel_ops() function pointers, so one binary serves the whole ISA range
+// an IoT fleet actually spans.
 //
 // Resolution precedence mirrors the thread-pool width and precision:
 //   set_global_kernel_backend() (the benches' --kernel flag lands here)
@@ -16,13 +17,15 @@
 // Forcing a backend the CPU cannot execute logs a warning and clamps to
 // the best supported one — an override must never SIGILL a device.
 //
-// The f64 reference path does NOT dispatch: it keeps default flags and one
-// TU so its object code stays bit-identical across releases. Only the f32
-// fast path and the i8 quantized path route through this table, and both
-// keep the per-output-element accumulation order of the serial loops, so
-// results are bit-identical across thread counts *within* a backend
-// (across backends they agree to documented tolerances — FMA contraction
-// and vector shuffles change rounding, not math).
+// The f32 fast path, the i8 quantized path and the f64 moment tile
+// (kernel_body_f64.inl) route through this table; the rest of the f64
+// path (nn, training, MCDrop, the f64 activation) keeps default flags.
+// Every dispatched kernel keeps the per-output-element accumulation order
+// of the serial loops, so results are bit-identical across thread counts
+// *within* a backend (across backends they agree to documented tolerances
+// — FMA contraction and vector shuffles change rounding, not math). The
+// scalar tier has no FMA, so its f64 tile is bit-identical to the plain
+// f64 GEMM against W and square(W).
 #pragma once
 
 #include <cstddef>
@@ -180,6 +183,21 @@ struct KernelOps {
                          const float* bias, std::size_t kdim, std::size_t n,
                          std::size_t r0, std::size_t r1, std::size_t j0,
                          std::size_t j1, float* tmean, float* tvar);
+
+  /// f64 twin of moment_tile_f32 (same blocking, jam and in-tile W∘W), but
+  /// the block lands straight in the caller's output rows instead of a
+  /// stack tile: for r in [r0, r1), j in [j0, j1),
+  ///   out_mean[r n + j] = dot(sm[r,:], W[:,j]) + bias[j]
+  ///   out_var [r n + j] = max(0, dot(vi[r,:], W[:,j]∘W[:,j]))
+  /// out_mean/out_var are the full batch x n matrices; j1 - j0 <=
+  /// kKernelMomentTile (the squared-W stack buffer). No zero-input skip:
+  /// a non-finite weight facing a dropped (zero) input yields NaN, which is
+  /// why the model loaders reject non-finite parameters. Bit-identical to
+  /// the plain f64 GEMM on the scalar tier; FMA-contracted on avx2/avx512.
+  void (*moment_tile_f64)(const double* sm, const double* vi, const double* w,
+                          const double* bias, std::size_t kdim, std::size_t n,
+                          std::size_t r0, std::size_t r1, std::size_t j0,
+                          std::size_t j1, double* out_mean, double* out_var);
 };
 
 /// The table bound to the globally resolved backend.

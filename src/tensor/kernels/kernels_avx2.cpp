@@ -19,6 +19,7 @@ namespace apds::kernels {
 namespace avx2_impl {
 #include "stats/fast_math_body.inl"
 #include "tensor/kernels/kernel_body.inl"
+#include "tensor/kernels/kernel_body_f64.inl"
 }  // namespace avx2_impl
 
 const KernelOps& avx2_ops() {

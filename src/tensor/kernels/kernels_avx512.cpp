@@ -17,6 +17,7 @@ namespace apds::kernels {
 namespace avx512_impl {
 #include "stats/fast_math_body.inl"
 #include "tensor/kernels/kernel_body.inl"
+#include "tensor/kernels/kernel_body_f64.inl"
 }  // namespace avx512_impl
 
 const KernelOps& avx512_ops() {

@@ -19,6 +19,7 @@ namespace apds::kernels {
 namespace scalar_impl {
 #include "stats/fast_math_body.inl"
 #include "tensor/kernels/kernel_body.inl"
+#include "tensor/kernels/kernel_body_f64.inl"
 }  // namespace scalar_impl
 
 const KernelOps& scalar_ops() {

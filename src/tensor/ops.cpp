@@ -114,11 +114,6 @@ void add_row_broadcast(MatrixF& a, const MatrixF& row) {
   add_row_broadcast_impl(a, row);
 }
 
-void add_row_broadcast_buffers(double* a, std::size_t rows, std::size_t cols,
-                               const double* row) {
-  add_row_broadcast_buffers_impl(a, rows, cols, row);
-}
-
 void add_row_broadcast_buffers(float* a, std::size_t rows, std::size_t cols,
                                const float* row) {
   add_row_broadcast_buffers_impl(a, rows, cols, row);
@@ -185,6 +180,12 @@ Matrix col_stddevs(const Matrix& a) {
   for (std::size_t c = 0; c < a.cols(); ++c)
     acc(0, c) = std::sqrt(acc(0, c) / static_cast<double>(a.rows()));
   return acc;
+}
+
+bool all_finite(const Matrix& a) {
+  for (const double v : a.flat())
+    if (!std::isfinite(v)) return false;
+  return true;
 }
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {

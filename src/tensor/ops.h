@@ -43,9 +43,8 @@ void scale_inplace(Matrix& a, double s);
 void add_row_broadcast(Matrix& a, const Matrix& row);
 
 /// Raw-buffer bias broadcast over a rows x cols row-major block. The Matrix
-/// overloads delegate here (bit-identical); session arenas call it directly.
-void add_row_broadcast_buffers(double* a, std::size_t rows, std::size_t cols,
-                               const double* row);
+/// overloads delegate here (bit-identical); the unfused f32 moment_linear
+/// calls it directly (the f64 moment tile adds its bias in-kernel).
 void add_row_broadcast_buffers(float* a, std::size_t rows, std::size_t cols,
                                const float* row);
 
@@ -75,6 +74,9 @@ Matrix col_stddevs(const Matrix& a);
 
 /// Max absolute difference between two same-shaped matrices.
 double max_abs_diff(const Matrix& a, const Matrix& b);
+
+/// Whether every element is finite (no NaN, no +-Inf).
+bool all_finite(const Matrix& a);
 
 /// Index of the maximum element in row r.
 std::size_t argmax_row(const Matrix& a, std::size_t r);

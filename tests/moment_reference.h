@@ -1,10 +1,13 @@
 // Test-local f64 reference of ApDeepSense's moment pass, composed only
 // from public pieces: the dropout-linear prep (paper Eq. 10), gemm against
 // W and against square(W), the bias add and variance clamp, then
-// moment_activation_inplace with the propagator's own surrogate. The f64
-// engine (an InferenceSession) must reproduce it bit for bit: same
-// expressions, same GEMM accumulation order, a stored square(W) in place
-// of the engine's in-GEMM square.
+// moment_activation_inplace with the propagator's own surrogate. It is the
+// scalar-tier reference: with the kernel backend pinned to scalar (see
+// ScalarKernelScope) the f64 engine (an InferenceSession running the
+// dispatched moment tile) must reproduce it bit for bit — same expressions,
+// same k-ascending accumulation order, a stored square(W) in place of the
+// tile's in-kernel square. The avx2/avx512 tiers contract to FMA and only
+// agree with it to ~1e-14 relative.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +18,19 @@
 #include "core/moment_activation.h"
 #include "nn/mlp.h"
 #include "tensor/gemm.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
 
 namespace apds::testing {
+
+/// Pins the process-wide kernel backend to the scalar tier for one scope,
+/// so exact comparisons against this reference hold on any CPU.
+struct ScalarKernelScope {
+  ScalarKernelScope() { set_global_kernel_backend(KernelBackend::kScalar); }
+  ~ScalarKernelScope() { clear_global_kernel_backend(); }
+  ScalarKernelScope(const ScalarKernelScope&) = delete;
+  ScalarKernelScope& operator=(const ScalarKernelScope&) = delete;
+};
 
 /// One dense layer's linear moments, activation not applied.
 inline MeanVar reference_moment_linear(const MeanVar& input,

@@ -130,8 +130,10 @@ TEST(ApDeepSense, PropagateOneMatchesBatch) {
 }
 
 // The per-layer distributions come from the test-local reference pass
-// (moment_reference.h); its last layer is the engine's output, bit for bit.
+// (moment_reference.h); its last layer is the engine's output, bit for bit
+// on the scalar kernel tier.
 TEST(ApDeepSense, RecordingReturnsPerLayerDistributions) {
+  const testing::ScalarKernelScope scalar;
   Rng rng(7);
   const Mlp mlp = random_mlp({4, 7, 5, 3}, Activation::kRelu, 0.9, rng);
   const ApDeepSense apd(mlp);

@@ -4,8 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "tensor/ops.h"
 
@@ -80,6 +84,91 @@ TEST_F(ConvIoTest, MissingAndTruncatedFilesThrow) {
   out << data;
   out.close();
   EXPECT_THROW(load_conv_net(path("half.apdscnv")), IoError);
+}
+
+// The parts of a one-conv net (len 10 -> 8 steps x 4 channels = 32
+// features), for tests that corrupt them before ConvNet, which checks only
+// shapes, bundles them for save_conv_net.
+struct NetParts {
+  std::vector<Conv1dLayer> convs;
+  Mlp head;
+};
+
+NetParts small_net_parts(Rng& rng) {
+  NetParts parts;
+  parts.convs.push_back(
+      make_conv1d(3, 2, 4, 1, Activation::kRelu, 0.9, rng));
+  MlpSpec spec;
+  spec.dims = {32, 6, 2};
+  spec.hidden_keep_prob = 0.85;
+  parts.head = Mlp::make(spec, rng);
+  return parts;
+}
+
+void save_parts(NetParts parts, const std::string& p) {
+  save_conv_net(
+      ConvNet(10, 2, std::move(parts.convs), std::move(parts.head)), p);
+}
+
+// load_conv_net rejects NaN and +-Inf parameters in conv and head layers:
+// the f64 moment tile has no zero-input skip, so one non-finite weight
+// facing a dropped input would poison its output column.
+TEST_F(ConvIoTest, NonFiniteParametersRejected) {
+  for (const bool in_head : {false, true}) {
+    SCOPED_TRACE(in_head ? "head" : "conv");
+    Rng rng(4);
+    NetParts parts = small_net_parts(rng);
+    if (in_head)
+      parts.head.mutable_layer(1).bias(0, 1) =
+          std::numeric_limits<double>::infinity();
+    else
+      parts.convs[0].weight(2, 3) = std::numeric_limits<double>::quiet_NaN();
+    save_parts(std::move(parts), path("non_finite.apdscnv"));
+    EXPECT_THROW(load_conv_net(path("non_finite.apdscnv")), IoError);
+  }
+}
+
+std::string read_file(const std::string& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// A conv layer that fails Conv1dLayer::check() is a corrupt file, so it
+// surfaces as IoError naming the layer, not as InvalidArgument.
+TEST_F(ConvIoTest, InvalidConvLayerIsIoError) {
+  Rng rng(5);
+  save_conv_net(make_net(rng), path("net.apdscnv"));
+  std::string data = read_file(path("net.apdscnv"));
+  // magic, input_len, input_channels, conv_count, then conv 0's kernel,
+  // in_channels, out_channels and stride: zero that stride.
+  const std::size_t stride_at = 8 + 3 * 8 + 3 * 8;
+  std::fill(data.begin() + static_cast<std::ptrdiff_t>(stride_at),
+            data.begin() + static_cast<std::ptrdiff_t>(stride_at + 8), '\0');
+  std::ofstream(path("bad.apdscnv"), std::ios::binary) << data;
+  try {
+    (void)load_conv_net(path("bad.apdscnv"));
+    ADD_FAILURE() << "a zero stride loaded";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("conv layer 0"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A head layer that Mlp::from_layers rejects (here keep_prob 1.5) is a
+// corrupt file too: IoError, naming the head layer.
+TEST_F(ConvIoTest, InvalidHeadLayerIsIoError) {
+  Rng rng(6);
+  NetParts parts = small_net_parts(rng);
+  parts.head.mutable_layer(1).keep_prob = 1.5;
+  save_parts(std::move(parts), path("bad_head.apdscnv"));
+  try {
+    (void)load_conv_net(path("bad_head.apdscnv"));
+    ADD_FAILURE() << "keep_prob 1.5 loaded";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <vector>
-
 #include "common/rng.h"
-#include "platform/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -115,44 +111,6 @@ TEST(Gemm, OneByN) {
   Matrix a = random_matrix(1, 100, rng);
   Matrix b = random_matrix(100, 50, rng);
   EXPECT_LT(max_abs_diff(matmul(a, b), naive_matmul(a, b)), 1e-9);
-}
-
-// gemm_sq_buffers squares B as it reads it; it must equal a GEMM against
-// a stored square(B) byte for byte: k not a multiple of the 64-wide k
-// block, odd n, exact +0.0 and -0.0 entries in A (the skipped dropout
-// lanes), and both partition branches (row chunks when m >= threads,
-// column panels for a single row) at pool widths 1 and 4.
-TEST(Gemm, SquaredBMatchesGemmAgainstStoredSquareBitForBit) {
-  struct ThreadsGuard {
-    ~ThreadsGuard() { set_global_threads(0); }
-  } restore;
-  Rng rng(23);
-  struct Shape {
-    std::size_t m, k, n;
-  };
-  for (const Shape shape : {Shape{1, 130, 1025}, Shape{3, 257, 513},
-                            Shape{9, 100, 33}, Shape{64, 200, 65}}) {
-    Matrix a = random_matrix(shape.m, shape.k, rng);
-    for (std::size_t i = 0; i < a.size(); i += 3)
-      a.data()[i] = (i % 2 == 0) ? 0.0 : -0.0;
-    const Matrix b = random_matrix(shape.k, shape.n, rng);
-    const Matrix b_sq = square(b);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << shape.m << "x" << shape.k << "x" << shape.n << " t"
-                   << threads);
-      set_global_threads(threads);
-      std::vector<double> want(shape.m * shape.n, 1.0);
-      std::vector<double> got(shape.m * shape.n, 2.0);
-      gemm_buffers(a.data(), b_sq.data(), want.data(), shape.m, shape.k,
-                   shape.n, /*accumulate=*/false);
-      gemm_sq_buffers(a.data(), b.data(), got.data(), shape.m, shape.k,
-                      shape.n);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            got.size() * sizeof(double)),
-                0);
-    }
-  }
 }
 
 TEST(GemmF32, MatchesF64ReferenceWithinSinglePrecision) {

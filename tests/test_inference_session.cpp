@@ -108,9 +108,11 @@ void expect_bit_identical(const MeanVar& got, const MeanVar& want) {
 }
 
 // One engine per precision: ApDeepSense::propagate IS its session. At f64
-// the session, ApDeepSense and the test-local layer-by-layer reference
-// (moment_reference.h) agree bit for bit: squaring W inside the variance
-// GEMM is exactly a GEMM against a stored square(W). At f32/i8 the
+// on the scalar kernel tier the session, ApDeepSense and the test-local
+// layer-by-layer reference (moment_reference.h) agree bit for bit: squaring
+// W inside the moment tile is exactly a GEMM against a stored square(W)
+// (KernelAgreement.F64PropagateMatchesScalarBackend bounds the wider
+// tiers). At f32/i8 the
 // estimator shares the session, every call counts on it, and it is built
 // from the propagator's own surrogates (calibrated ones included), not
 // re-derived from saturating_pieces.
@@ -121,6 +123,7 @@ TEST(InferenceSession, BitIdenticalToLegacyPropagateAcrossPrecisions) {
   const MeanVar input = MeanVar::point(x);
 
   {
+    const testing::ScalarKernelScope scalar;
     const ApDeepSense apd(mlp);
     const InferenceSession session(mlp);
     const MeanVar reference = testing::reference_propagate(apd, input);

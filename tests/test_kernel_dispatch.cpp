@@ -3,22 +3,27 @@
 // guards correctness — per-backend agreement of every dispatched kernel
 // against the scalar reference table on identical inputs. The scalar TU is
 // compiled with project-default flags, so it is the portable baseline the
-// wider tiers must reproduce within documented tolerances (f32 kernels:
-// FMA contraction and shuffle order change rounding, not math; i8 kernels:
-// integer accumulation is exact, only the f32 dequant epilogue may differ).
+// wider tiers must reproduce within documented tolerances (f32 and f64
+// kernels: FMA contraction and shuffle order change rounding, not math; i8
+// kernels: integer accumulation is exact, only the f32 dequant epilogue
+// may differ).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/apdeepsense.h"
 #include "core/moment_activation.h"
 #include "core/moment_fused.h"
+#include "core/moment_linear.h"
+#include "moment_reference.h"
 #include "nn/mlp.h"
+#include "platform/thread_pool.h"
 #include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
@@ -52,6 +57,24 @@ float max_scaled_diff(const MatrixF& a, const MatrixF& b) {
     worst = std::max(worst, d);
   }
   return worst;
+}
+
+/// f64 twin of max_scaled_diff.
+double max_scaled_diff(const Matrix& a, const Matrix& b) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double ref = a.flat()[i];
+    const double d = std::fabs(ref - b.flat()[i]) / (std::fabs(ref) + 1.0);
+    worst = std::max(worst, d);
+  }
+  return worst;
+}
+
+bool bytes_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(KernelParsing, NamesRoundTripAndBadValuesThrow) {
@@ -132,6 +155,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.act_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_i8, nullptr);
+    EXPECT_NE(ops.moment_tile_f64, nullptr);
   }
 }
 
@@ -263,6 +287,65 @@ TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
   }
 }
 
+// The f64 moment tile squares W in-kernel and has no zero-input skip. On
+// the scalar tier, moment_linear must equal the plain f64 GEMMs against W
+// and a stored square(W) plus bias and clamp (moment_reference.h) byte for
+// byte: k not a multiple of the 8-way jam or the 64-wide k block, odd n (a
+// narrow last column tile), exact +0.0 and -0.0 inputs (dropped lanes),
+// batch 1 and batches spanning several row blocks, pool widths 1 and 4.
+// Every tier is bit-identical across pool widths and within 1e-12 of the
+// scalar tier.
+TEST(KernelAgreement, MomentTileF64MatchesStoredSquareReference) {
+  struct Cleanup {
+    ~Cleanup() {
+      clear_global_kernel_backend();
+      set_global_threads(0);
+    }
+  } cleanup;
+  Rng rng(47);
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  for (const Shape shape : {Shape{1, 130, 1025}, Shape{3, 257, 513},
+                            Shape{9, 100, 33}, Shape{64, 200, 65}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << shape.m << "x" << shape.k << "x" << shape.n);
+    DenseLayer layer;
+    layer.weight = Matrix(shape.k, shape.n);
+    layer.bias = Matrix(1, shape.n);
+    layer.keep_prob = 0.8;
+    for (double& v : layer.weight.flat()) v = rng.normal();
+    for (double& v : layer.bias.flat()) v = rng.normal();
+    MeanVar input(shape.m, shape.k);
+    for (double& v : input.mean.flat()) v = rng.normal();
+    for (double& v : input.var.flat()) v = std::fabs(rng.normal());
+    for (std::size_t i = 0; i < input.mean.size(); i += 3) {
+      input.mean.data()[i] = (i % 2 == 0) ? 0.0 : -0.0;
+      input.var.data()[i] = 0.0;
+    }
+    const MeanVar want = testing::reference_moment_linear(input, layer);
+    for (const KernelBackend back : supported_backends()) {
+      set_global_kernel_backend(back);
+      set_global_threads(1);
+      const MeanVar serial = moment_linear(input, layer);
+      set_global_threads(4);
+      const MeanVar parallel = moment_linear(input, layer);
+      EXPECT_TRUE(bytes_equal(serial.mean, parallel.mean))
+          << kernel_backend_name(back);
+      EXPECT_TRUE(bytes_equal(serial.var, parallel.var))
+          << kernel_backend_name(back);
+      if (back == KernelBackend::kScalar) {
+        EXPECT_TRUE(bytes_equal(serial.mean, want.mean));
+        EXPECT_TRUE(bytes_equal(serial.var, want.var));
+      }
+      EXPECT_LE(max_scaled_diff(want.mean, serial.mean), 1e-12)
+          << kernel_backend_name(back);
+      EXPECT_LE(max_scaled_diff(want.var, serial.var), 1e-12)
+          << kernel_backend_name(back);
+    }
+  }
+}
+
 // ---- fused-path agreement through the public API ---------------------------
 
 // Inner dims 13 and 90 are not multiples of the kernels' 8-way kk jam, so
@@ -296,6 +379,41 @@ TEST(KernelAgreement, FusedF32PropagateMatchesScalarBackend) {
         << kernel_backend_name(back);
     EXPECT_LE(max_abs_diff(ref.var, got.var), 1e-4)
         << kernel_backend_name(back);
+  }
+}
+
+// The f64 twin over a depth-8 net per hidden activation: the wider tiers'
+// FMA contraction compounds through eight moment tiles and activations,
+// yet stays at the 1e-15 level (measured), far inside the bound. Inner
+// dims 13, 90 and 57 leave kk remainders; batch 20 spans two row blocks.
+TEST(KernelAgreement, F64PropagateMatchesScalarBackend) {
+  struct Cleanup {
+    ~Cleanup() { clear_global_kernel_backend(); }
+  } cleanup;
+  Rng rng(48);
+  for (const Activation act :
+       {Activation::kRelu, Activation::kTanh, Activation::kSigmoid}) {
+    SCOPED_TRACE(activation_name(act));
+    MlpSpec spec;
+    spec.dims = {24, 13, 90, 130, 33, 64, 57, 40, 10};
+    spec.hidden_act = act;
+    spec.hidden_keep_prob = 0.9;
+    const Mlp mlp = Mlp::make(spec, rng);
+    const ApDeepSense apd(mlp);
+    MeanVar input(20, 24);
+    for (double& v : input.mean.flat()) v = rng.normal();
+    for (double& v : input.var.flat()) v = std::fabs(rng.normal());
+
+    set_global_kernel_backend(KernelBackend::kScalar);
+    const MeanVar ref = apd.propagate(input, Precision::kF64);
+    for (const KernelBackend back : supported_backends()) {
+      set_global_kernel_backend(back);
+      const MeanVar got = apd.propagate(input, Precision::kF64);
+      EXPECT_LE(max_scaled_diff(ref.mean, got.mean), 1e-12)
+          << kernel_backend_name(back);
+      EXPECT_LE(max_scaled_diff(ref.var, got.var), 1e-12)
+          << kernel_backend_name(back);
+    }
   }
 }
 

@@ -103,6 +103,28 @@ TEST_F(ModelIoTest, KeepProbOutsideUnitIntervalRejected) {
   }
 }
 
+// The f64 moment tile has no zero-input skip, so a non-finite weight
+// facing a dropped input would poison its output column: load_model
+// rejects NaN and +-Inf in any weight or bias.
+TEST_F(ModelIoTest, NonFiniteParametersRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool in_bias : {false, true}) {
+    for (const double bad : {nan, inf, -inf}) {
+      SCOPED_TRACE(::testing::Message() << (in_bias ? "bias " : "weight ")
+                                        << bad);
+      Rng rng(5);
+      Mlp mlp = make_model(rng);
+      if (in_bias)
+        mlp.mutable_layer(1).bias(0, 2) = bad;
+      else
+        mlp.mutable_layer(0).weight(3, 1) = bad;
+      save_model(mlp, path("non_finite.apds"));
+      EXPECT_THROW(load_model(path("non_finite.apds")), IoError);
+    }
+  }
+}
+
 TEST_F(ModelIoTest, IsModelFileRecognizesGoodFiles) {
   Rng rng(3);
   save_model(make_model(rng), path("good.apds"));

@@ -67,8 +67,10 @@ TEST(MomentLinear, PrecomputedSquareMatchesOnTheFly) {
   for (double& v : input.mean.flat()) v = rng.normal();
   for (double& v : input.var.flat()) v = std::fabs(rng.normal());
 
-  // The variance GEMM squares W as it reads it; the test-local reference
-  // runs a plain GEMM against a stored square(W). Bit for bit the same.
+  // The moment tile squares W as it reads it; the test-local reference
+  // runs a plain GEMM against a stored square(W). Bit for bit the same on
+  // the scalar kernel tier (the wider tiers contract to FMA).
+  const testing::ScalarKernelScope scalar;
   const MeanVar a = moment_linear(input, layer);
   const MeanVar b =
       moment_linear(input, layer.weight, layer.bias, layer.keep_prob);

@@ -140,21 +140,23 @@ TEST(ParallelDeterminism, DispatchedBackendsBitIdenticalAcrossPoolWidths) {
   // serial per-element accumulation order at every pool width (the i8
   // path adds dynamic per-row quantization, which is row-local and so
   // partition-invariant too). Pin it for every tier this CPU can run, at
-  // both dispatched precisions.
+  // every dispatched precision. 40 rows span three 16-row tile blocks, so
+  // the pool really splits the moment tiles.
   struct Cleanup {
     ~Cleanup() { clear_global_kernel_backend(); }
   } cleanup;
   Rng rng(11);
   const Mlp mlp = wide_net(Activation::kTanh, 0.9, rng);
   const ApDeepSense apd(mlp);
-  MeanVar input(6, 16);
+  MeanVar input(40, 16);
   for (double& v : input.mean.flat()) v = rng.normal();
   for (double& v : input.var.flat()) v = std::fabs(rng.normal());
   for (const KernelBackend b : {KernelBackend::kScalar, KernelBackend::kAvx2,
                                 KernelBackend::kAvx512}) {
     if (!kernel_backend_supported(b)) continue;
     set_global_kernel_backend(b);
-    for (const Precision p : {Precision::kF32, Precision::kI8}) {
+    for (const Precision p :
+         {Precision::kF64, Precision::kF32, Precision::kI8}) {
       auto run = [&] { return apd.propagate(input, p); };
       const auto serial = with_threads(1, run);
       const auto parallel = with_threads(4, run);

@@ -177,8 +177,10 @@ TEST(ProfileReportE2E, MicroKernelsAttributesDistinctKernelBackends) {
   const std::string filter = " '--benchmark_filter=ApDeepSensePassF32/1$'";
   const std::string native_profile = "profile_e2e_native.json";
   const std::string scalar_profile = "profile_e2e_scalar.json";
-  ASSERT_EQ(run_cmd(std::string(MICRO_KERNELS_BIN) + " --profile " +
-                    native_profile + filter +
+  // The native run must not inherit an APDS_KERNEL override from the
+  // suite's own environment (CI reruns the suite with APDS_KERNEL=scalar).
+  ASSERT_EQ(run_cmd(std::string("env -u APDS_KERNEL ") + MICRO_KERNELS_BIN +
+                    " --profile " + native_profile + filter +
                     " > profile_e2e_native.out 2>&1"),
             0)
       << read_file("profile_e2e_native.out");

@@ -381,8 +381,12 @@ bool is_cmake_file(const std::string& rel) {
   return has_suffix(rel, "CMakeLists.txt") || has_suffix(rel, ".cmake");
 }
 
-/// The TUs that must stay free of double contamination: PR 4's SIMD path
-/// plus the runtime-dispatched kernel tiers (shared body + per-ISA TUs).
+/// The TUs that must stay free of double contamination: the f32 SIMD
+/// activation path plus the runtime-dispatched kernel tiers (shared f32/i8
+/// body + per-ISA TUs). The f64 moment tile's body
+/// (kernels/kernel_body_f64.inl) sits outside the set on purpose: double
+/// is its working type, and keeping it in its own file is what lets
+/// kernel_body.inl stay double-free while the tiers still dispatch it.
 bool is_f32_tu(const std::string& rel) {
   return has_suffix(rel, "src/core/moment_activation_f32.cpp") ||
          has_suffix(rel, "src/stats/fast_math.cpp") ||
