@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "data/hhar.h"
 #include "data/scaler.h"
@@ -26,7 +27,9 @@ const char* kActivityNames[] = {"biking",       "sitting",
 }
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs_session(argc, argv);
+  obs::ObsOptions options = obs::parse_obs_flags(argc, argv);
+  if (!obs::only_obs_flags(argc, argv)) return 2;
+  obs::ObsSession obs_session(std::move(options));
   Rng rng(11);
 
   // Leave-one-user-out data: train on users 0..7, deploy on user 8.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "data/bpest.h"
 #include "data/scaler.h"
@@ -18,7 +19,9 @@
 using namespace apds;
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs_session(argc, argv);
+  obs::ObsOptions options = obs::parse_obs_flags(argc, argv);
+  if (!obs::only_obs_flags(argc, argv)) return 2;
+  obs::ObsSession obs_session(std::move(options));
   Rng rng(5);
 
   Dataset data = generate_bpest(2500, rng);
@@ -56,7 +59,7 @@ int main(int argc, char** argv) {
 
   // The clinical consumer trusts the interval, so its calibration is a
   // serving-health signal: stream the labelled waveform predictions into
-  // the calibration monitor (exported with --health/--prom).
+  // the calibration monitor (exported with --health).
   obs::HealthMonitor::instance().calibration().observe_batch(
       pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 

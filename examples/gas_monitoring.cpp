@@ -5,6 +5,7 @@
 // low-confidence readings for re-measurement instead of silently guessing.
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "data/gassen.h"
 #include "data/scaler.h"
@@ -18,7 +19,9 @@
 using namespace apds;
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs_session(argc, argv);
+  obs::ObsOptions options = obs::parse_obs_flags(argc, argv);
+  if (!obs::only_obs_flags(argc, argv)) return 2;
+  obs::ObsSession obs_session(std::move(options));
   Rng rng(42);
 
   // Train a compact gas-inversion model on synthetic sensor data.
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
 
   // Safety decisions downstream of the interval make its calibration a
   // serving-health concern: stream every labelled reading into the
-  // calibration monitor (exported with --health/--prom).
+  // calibration monitor (exported with --health).
   obs::HealthMonitor::instance().calibration().observe_batch(
       pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 

@@ -6,11 +6,11 @@
 //   predict_csv <model.apds> <inputs.csv> <outputs.csv> [--classify]
 //               [--labels labels.csv] [--trace trace.json]
 //               [--metrics metrics.json] [--health health.json]
-//               [--prom health.prom] [--log-level lvl]
+//               [--log-level lvl]
 //
 // `--labels <csv>` streams ground-truth targets (regression only) into the
 // process-wide calibration monitor, so the run reports windowed empirical
-// coverage and Gaussian NLL — and `--health`/`--prom` export the snapshot.
+// coverage and Gaussian NLL — and `--health` exports the snapshot.
 //
 // Run with no arguments for a self-contained demo: it trains a small model
 // on the synthetic gas-sensing task, saves it, exports sample inputs and
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "data/csv.h"
 #include "data/gassen.h"
 #include "data/scaler.h"
@@ -31,7 +30,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/run_options.h"
-#include "platform/cost_model.h"
 #include "uncertainty/apd_estimator.h"
 
 using namespace apds;
@@ -77,7 +75,6 @@ int predict(const std::string& model_path, const std::string& in_csv,
     return 0;
   }
 
-  Stopwatch sw;
   // One request per batched pass (see the classification branch above).
   const PredictiveGaussian pred = [&] {
     obs::RequestScope request;
@@ -86,14 +83,6 @@ int predict(const std::string& model_path, const std::string& in_csv,
     request.set_prediction(p.mean(0, 0), p.var(0, 0));
     return p;
   }();
-  // One batched pass; charge the modelled per-row FLOPs for the energy
-  // budget and the measured per-row share of the batch latency.
-  const double batch_ms = sw.elapsed_ms();
-  const double row_flops = flops_apdeepsense(mlp);
-  for (std::size_t r = 0; r < inputs.rows(); ++r)
-    health.latency().observe(batch_ms / static_cast<double>(inputs.rows()),
-                             row_flops);
-
   Matrix out(pred.mean.rows(), pred.mean.cols() * 2);
   std::vector<std::string> header;
   for (std::size_t c = 0; c < pred.mean.cols(); ++c) {
@@ -110,7 +99,7 @@ int predict(const std::string& model_path, const std::string& in_csv,
             << "\n";
   {
     // Footprint of the planned-arena session the batch ran through — what
-    // a fleet deployment would budget per resident model.
+    // the model keeps resident while it serves.
     const auto session = apd.session(global_precision());
     std::cout << "session memory: " << session->weight_bytes()
               << " B weights + " << session->arena_bytes()

@@ -7,28 +7,33 @@
 //
 // Pass `--trace out.json` to capture a Chrome-trace of the whole run
 // (training epochs, per-layer inference spans, request-scoped span trees),
-// `--health h.json --prom h.prom` to export the streaming health snapshot
-// (windowed calibration coverage/NLL, input drift, latency p50/p95/p99 and
-// modelled Edison energy), or `--flight f.json` to dump the flight
-// recorder's per-request ring — see docs/OBSERVABILITY.md.
+// `--health h.json` to export the streaming health snapshot (windowed
+// calibration coverage/NLL, input drift, alerts), `--metrics m.json` for
+// the counters and the request-latency histogram with its exemplars, or
+// `--flight f.json` to dump the flight recorder's per-request ring — see
+// docs/OBSERVABILITY.md. The example takes no other arguments.
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "nn/loss.h"
 #include "nn/trainer.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
+#include "obs/metrics.h"
 #include "obs/run_options.h"
 #include "platform/cost_model.h"
+#include "platform/edison.h"
 #include "uncertainty/apd_estimator.h"
 #include "uncertainty/mcdrop.h"
 
 using namespace apds;
 
 int main(int argc, char** argv) {
-  obs::ObsSession obs_session(argc, argv);
+  obs::ObsOptions options = obs::parse_obs_flags(argc, argv);
+  if (!obs::only_obs_flags(argc, argv)) return 2;
+  obs::ObsSession obs_session(std::move(options));
   Rng rng(7);
 
   // 1. A toy sensor problem: y = sin(3x) + heteroscedastic noise.
@@ -69,9 +74,10 @@ int main(int argc, char** argv) {
 
   // 5. Online health monitoring: stream a held-out set through the model
   //    the way a deployment would, feeding the process-wide HealthMonitor —
-  //    per-inference latency + modelled Edison energy, input drift against
-  //    the training distribution, and (labels being available here)
-  //    windowed calibration coverage/NLL. Export with --health/--prom.
+  //    input drift against the training distribution and (labels being
+  //    available here) windowed calibration coverage/NLL. Export with
+  //    --health; request latencies land in the `request.latency_ms`
+  //    histogram (--metrics).
   {
     obs::HealthMonitor& health = obs::HealthMonitor::instance();
     const std::size_t n_train = x.rows();
@@ -86,7 +92,6 @@ int main(int argc, char** argv) {
     var_x /= static_cast<double>(n_train);
     health.drift().set_reference({&mean_x, 1}, {&var_x, 1});
 
-    const double flops = flops_apdeepsense(mlp, 7);
     for (std::size_t i = 0; i < 200; ++i) {
       Matrix input(1, 1);
       input(0, 0) = rng.uniform(-1.0, 1.0);
@@ -97,20 +102,24 @@ int main(int argc, char** argv) {
       obs::RequestScope request;
       request.set_input_stats(input.flat());
       health.drift().observe(input.row(0));
-      Stopwatch sw;
       const PredictiveGaussian p = apd.predict_regression(input);
-      health.latency().observe(sw.elapsed_ms(), flops);
       request.set_prediction(p.mean(0, 0), p.var(0, 0));
       health.calibration().observe(p.mean(0, 0), p.var(0, 0), truth);
     }
     const auto cov = health.calibration().coverage();
+    // p50 is reconstructed from fixed buckets (0-100 ms, 32 of them), so
+    // for sub-millisecond requests the exact streamed mean is the sharper
+    // number.
+    const LatencyHistogram& latency =
+        MetricsRegistry::instance().histogram("request.latency_ms");
     std::cout << "\nStreaming health over 200 held-out inferences:"
               << "\n  windowed NLL " << health.calibration().nll()
               << ", coverage@0.9 "
               << (cov.size() > 1 ? cov[1].empirical : 0.0)
-              << "\n  latency p50 " << health.latency().percentiles().p50_ms
-              << " ms, modelled energy/inference "
-              << health.latency().energy_mean_mj() << " mJ\n";
+              << "\n  latency p50 " << latency.p50_ms() << " ms (mean "
+              << latency.stats().mean() << " ms), modelled energy/inference "
+              << EdisonModel{}.energy_mj(flops_apdeepsense(mlp, 7))
+              << " mJ\n";
   }
 
   // 6. Under the hood every predict above ran through one shared

@@ -60,12 +60,7 @@ namespace {
 // The sanctioned thread_local scratch state (see header). apds_lint's
 // hot-path-thread-local rule exempts exactly this TU.
 thread_local ScratchArena tl_scratch;
-
-struct CachedArena {
-  std::uint64_t epoch = 0;
-  void* arena = nullptr;
-};
-thread_local std::unordered_map<std::uint64_t, CachedArena> tl_session_arenas;
+thread_local std::unordered_map<std::uint64_t, void*> tl_session_arenas;
 }  // namespace
 
 ScratchArena& thread_scratch() { return tl_scratch; }
@@ -75,15 +70,13 @@ std::uint64_t new_arena_owner_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-void* thread_arena_lookup(std::uint64_t owner, std::uint64_t epoch) {
+void* thread_arena_lookup(std::uint64_t owner) {
   const auto it = tl_session_arenas.find(owner);
-  if (it == tl_session_arenas.end() || it->second.epoch != epoch)
-    return nullptr;
-  return it->second.arena;
+  return it == tl_session_arenas.end() ? nullptr : it->second;
 }
 
-void thread_arena_bind(std::uint64_t owner, std::uint64_t epoch, void* arena) {
-  tl_session_arenas[owner] = CachedArena{epoch, arena};
+void thread_arena_bind(std::uint64_t owner, void* arena) {
+  tl_session_arenas[owner] = arena;
 }
 
 }  // namespace apds

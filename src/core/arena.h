@@ -127,12 +127,11 @@ ScratchArena& thread_scratch();
 /// destroyed owner can never alias a live one.
 std::uint64_t new_arena_owner_id();
 
-/// Per-thread (owner, epoch) -> arena pointer cache. A session bumps its
-/// epoch when it invalidates its arenas (trim), turning every thread's
-/// cached pointer into a miss; the session then re-binds on its slow path.
+/// Per-thread owner -> arena pointer cache. Owner ids are never reused,
+/// so an entry left by a destroyed session is never looked up again.
 /// Lookup on the hot path is a hash-map hit: no allocation.
-void* thread_arena_lookup(std::uint64_t owner, std::uint64_t epoch);
-void thread_arena_bind(std::uint64_t owner, std::uint64_t epoch, void* arena);
+void* thread_arena_lookup(std::uint64_t owner);
+void thread_arena_bind(std::uint64_t owner, void* arena);
 
 /// Live / high-water arena bytes across the process (the gauge values).
 std::uint64_t arena_live_bytes();

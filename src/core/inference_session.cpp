@@ -169,22 +169,13 @@ std::size_t InferenceSession::arena_bytes() const {
   return total;
 }
 
-void InferenceSession::trim() const {
-  MutexLock lk(&arenas_mu_);
-  // Invalidate every thread's cached pointer first; destroying the arenas
-  // then releases the backing (and the gauges drop).
-  epoch_.fetch_add(1, std::memory_order_release);
-  arenas_.clear();
-}
-
 InferenceSession::ThreadArena& InferenceSession::thread_arena(
     std::size_t batch) const {
-  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  auto* ta = static_cast<ThreadArena*>(thread_arena_lookup(id_, epoch));
+  auto* ta = static_cast<ThreadArena*>(thread_arena_lookup(id_));
   if (ta && ta->plan.batch >= batch) return *ta;
 
-  // Slow path: first use on this thread, a post-trim rebuild, or a batch
-  // above the planned capacity. One plan + one allocation, then the thread
+  // Slow path: first use on this thread or a batch above the planned
+  // capacity. One plan + one allocation, then the thread
   // is steady again.
   const std::size_t plan_batch = std::max(batch, config_.max_batch);
   MutexLock lk(&arenas_mu_);
@@ -194,7 +185,7 @@ InferenceSession::ThreadArena& InferenceSession::thread_arena(
   }
   ta->plan = plan_for(plan_batch);
   ta->arena.allocate(ta->plan.bytes);
-  thread_arena_bind(id_, epoch, ta);
+  thread_arena_bind(id_, ta);
   return *ta;
 }
 

@@ -21,8 +21,8 @@
 //
 // A session is thread-safe for concurrent propagate() calls (each thread
 // lazily gets its own arena, cached through core/arena.h's per-thread map)
-// and is meant to be shared via shared_ptr — see SessionRegistry for
-// hosting many models under a byte budget.
+// and is meant to be shared via shared_ptr: ApDeepSense and ApdEstimator
+// hold one per precision. Its arenas live as long as the session.
 #pragma once
 
 #include <atomic>
@@ -99,15 +99,8 @@ class InferenceSession {
   std::size_t planned_bytes(std::size_t batch) const;
   /// Live arena bytes currently backing this session across all threads.
   std::size_t arena_bytes() const;
-  /// weight_bytes() + arena_bytes(): what the registry budgets against.
+  /// weight_bytes() + arena_bytes(): the session's whole footprint.
   std::size_t memory_bytes() const { return weight_bytes() + arena_bytes(); }
-
-  /// Release every thread's arena (Matrix::resize-style capacity retention
-  /// is deliberate on the hot path; trim on eviction/idle instead so a
-  /// transient large batch doesn't pin memory forever). Must not race
-  /// in-flight propagate() calls on this session; the next propagate
-  /// replans from scratch.
-  void trim() const;
 
  private:
   /// Offsets (bytes into the arena) of every planned slice. Intermediate
@@ -161,7 +154,6 @@ class InferenceSession {
   MatrixF final_w32_, final_b32_;  ///< i8 f32 moment head
 
   std::size_t weight_bytes_ = 0;
-  mutable std::atomic<std::uint64_t> epoch_{1};  ///< bumped by trim()
   mutable std::atomic<std::uint64_t> propagate_count_{0};
   mutable Mutex arenas_mu_;
   mutable std::vector<std::unique_ptr<ThreadArena>> arenas_

@@ -4,9 +4,7 @@
 #include <ostream>
 
 #include "common/precision.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "core/session_registry.h"
 #include "eval/table_printer.h"
 #include "metrics/classification_metrics.h"
 #include "metrics/regression_metrics.h"
@@ -131,12 +129,6 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
   const Matrix one_input = td.x_test.row_copy(0);
   std::vector<SystemRow> rows;
 
-  // The serving loop below hosts its models in a SessionRegistry, the way a
-  // deployment with several resident networks would: one key per
-  // (task, activation, precision), planned arenas sized for batch 1, and
-  // zero steady-state allocations per request.
-  SessionRegistry registry;
-
   for (Activation act : kActs) {
     const Mlp& mlp = zoo.dropout_model(task, act);
     const std::string prefix = dnn_name(act) + "-";
@@ -163,30 +155,19 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
     };
     add("ApDeepSense", apd_flops, apd_once);
 
-    // Stream per-inference latencies of the serving path (ApDeepSense, the
-    // configuration a deployment would run) into the health monitor, with
-    // the modelled per-inference FLOP count for the Edison energy budget.
-    // Each iteration is one request: the RequestScope gives it an id (so
-    // spans, exemplars and the flight-recorder record attribute to it).
+    // Serve the deployment configuration (ApDeepSense) as a stream of
+    // requests through the estimator's own session. Each iteration is one
+    // request: the RequestScope gives it an id (so spans, exemplars and the
+    // flight-recorder record attribute to it) and feeds its latency into
+    // the `request.latency_ms` histogram.
     if (opt.measure_host) {
-      obs::LatencySloMonitor& slo = obs::HealthMonitor::instance().latency();
-      const Precision precision = global_precision();
-      const std::string key = std::string(task_name(task)) + "/" + prefix +
-                              precision_name(precision);
       const std::shared_ptr<InferenceSession> session =
-          registry.get_or_load(key, [&] {
-            SessionConfig cfg;
-            cfg.precision = precision;
-            cfg.max_batch = 1;
-            cfg.saturating_pieces = opt.saturating_pieces;
-            return std::make_shared<InferenceSession>(mlp, cfg);
-          });
+          apd.session(global_precision());
       const MeanVar serve_in = MeanVar::point(one_input);
       MeanVar serve_out;  // reused: a warmed-up request allocates nothing
       for (int i = 0; i < 20; ++i) {
         obs::RequestScope request;
         request.set_input_stats(one_input.flat());
-        Stopwatch sw;
         session->propagate(serve_in, serve_out);
         if (td.kind == TaskKind::kRegression) {
           request.set_prediction(serve_out.mean(0, 0), serve_out.var(0, 0));
@@ -198,7 +179,6 @@ std::vector<SystemRow> run_system_perf(ModelZoo& zoo, TaskId task,
           // Bernoulli variance as the record's prediction summary.
           request.set_prediction(top, top * (1.0 - top));
         }
-        slo.observe(sw.elapsed_ms(), apd_flops);
       }
     }
 

@@ -58,7 +58,7 @@ struct RequestRecord {
   std::uint64_t alloc_bytes = 0;
   /// InferenceSession id the request ran through (0 = no session, e.g.
   /// MCDrop or moment_rnn). Lets flight dumps segment per
-  /// model when a SessionRegistry serves several concurrently.
+  /// model when one process serves several.
   std::uint64_t session = 0;
 };
 

@@ -1,25 +1,13 @@
 #include "obs/health.h"
 
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.h"
-#include "obs/prom.h"
 #include "obs/trace.h"
 
 namespace apds::obs {
-
-namespace {
-
-std::string format_level(double level) {
-  std::ostringstream os;
-  os << level;
-  return os.str();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // JSON
@@ -41,18 +29,11 @@ void HealthSnapshot::write_json(std::ostream& os) const {
        << ",\"window_mean\":" << d.window_mean << ",\"z\":" << d.z
        << ",\"ks_stat\":" << d.ks_stat << ",\"ks_p\":" << d.ks_p << "}";
   }
-  os << "]},\n\"latency\":{\"count\":" << latency_count
-     << ",\"p50_ms\":" << latency.p50_ms << ",\"p95_ms\":" << latency.p95_ms
-     << ",\"p99_ms\":" << latency.p99_ms << ",\"slo\":{\"p50_ms\":"
-     << slo.p50_ms << ",\"p95_ms\":" << slo.p95_ms << ",\"p99_ms\":"
-     << slo.p99_ms << "},\"energy_total_mj\":" << energy_total_mj
-     << ",\"energy_mean_mj\":" << energy_mean_mj
-     << "},\n\"alerts\":[";
+  os << "]},\n\"alerts\":[";
   for (std::size_t a = 0; a < alerts.size(); ++a) {
     const Alert& alert = alerts[a];
     if (a) os << ",";
     os << "\n{\"monitor\":\"" << json_escape(alert.monitor)
-       << "\",\"severity\":\"" << alert_severity_name(alert.severity)
        << "\",\"message\":\"" << json_escape(alert.message)
        << "\",\"value\":" << alert.value
        << ",\"threshold\":" << alert.threshold << "}";
@@ -74,109 +55,15 @@ void HealthSnapshot::write_json_file(const std::string& path) const {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus text exposition
-
-void HealthSnapshot::write_prometheus(std::ostream& os) const {
-  prom_family(os, "apds_health_calibration_count", "counter",
-              "Labelled predictions seen by the calibration monitor");
-  os << "apds_health_calibration_count " << calibration_count << "\n";
-  if (!coverage.empty()) {
-    prom_family(os, "apds_health_calibration_coverage", "gauge",
-                "Windowed empirical coverage at each nominal level");
-    for (const auto& c : coverage)
-      os << "apds_health_calibration_coverage{level=\""
-         << prom_escape(format_level(c.nominal)) << "\"} " << c.empirical
-         << "\n";
-  }
-  prom_family(os, "apds_health_calibration_nll", "gauge",
-              "Windowed mean Gaussian negative log-likelihood");
-  os << "apds_health_calibration_nll " << nll << "\n";
-
-  prom_family(os, "apds_health_drift_rows", "counter",
-              "Input rows seen by the drift monitor");
-  os << "apds_health_drift_rows " << drift_rows << "\n";
-  if (!drift.empty()) {
-    prom_family(os, "apds_health_drift_z", "gauge",
-                "Standardized window-mean shift per input feature");
-    for (std::size_t f = 0; f < drift.size(); ++f)
-      os << "apds_health_drift_z{feature=\"" << f << "\"} " << drift[f].z
-         << "\n";
-    prom_family(os, "apds_health_drift_ks_p", "gauge",
-                "KS p-value of the window against the reference Gaussian");
-    for (std::size_t f = 0; f < drift.size(); ++f)
-      os << "apds_health_drift_ks_p{feature=\"" << f << "\"} "
-         << drift[f].ks_p << "\n";
-  }
-  prom_family(os, "apds_health_drift_max_abs_z", "gauge",
-              "Largest absolute window-mean z-score across features");
-  os << "apds_health_drift_max_abs_z " << max_abs_z << "\n";
-
-  prom_family(os, "apds_health_latency_count", "counter",
-              "Inference latency observations");
-  os << "apds_health_latency_count " << latency_count << "\n";
-  prom_family(os, "apds_health_latency_ms", "gauge",
-              "Windowed inference latency percentiles in milliseconds");
-  os << "apds_health_latency_ms{quantile=\"0.5\"} " << latency.p50_ms << "\n"
-     << "apds_health_latency_ms{quantile=\"0.95\"} " << latency.p95_ms << "\n"
-     << "apds_health_latency_ms{quantile=\"0.99\"} " << latency.p99_ms
-     << "\n";
-  const double slo_values[3] = {slo.p50_ms, slo.p95_ms, slo.p99_ms};
-  const char* slo_quantiles[3] = {"0.5", "0.95", "0.99"};
-  bool any_slo = false;
-  for (double v : slo_values) any_slo = any_slo || v > 0.0;
-  if (any_slo) {
-    prom_family(os, "apds_health_latency_slo_ms", "gauge",
-                "Configured latency SLO thresholds in milliseconds");
-    for (int i = 0; i < 3; ++i)
-      if (slo_values[i] > 0.0)
-        os << "apds_health_latency_slo_ms{quantile=\"" << slo_quantiles[i]
-           << "\"} " << slo_values[i] << "\n";
-  }
-  prom_family(os, "apds_health_energy_mj_total", "counter",
-              "Modelled Edison energy summed over observed inferences");
-  os << "apds_health_energy_mj_total " << energy_total_mj << "\n";
-  prom_family(os, "apds_health_energy_mean_mj", "gauge",
-              "Mean modelled Edison energy per inference");
-  os << "apds_health_energy_mean_mj " << energy_mean_mj << "\n";
-
-  prom_family(os, "apds_health_alerts_total", "counter",
-              "Structured alerts raised by the health monitors");
-  std::map<std::string, std::size_t> by_monitor = {
-      {"calibration", 0}, {"drift", 0}, {"latency_slo", 0}};
-  for (const Alert& a : alerts) ++by_monitor[a.monitor];
-  for (const auto& [monitor, n] : by_monitor)
-    os << "apds_health_alerts_total{monitor=\"" << prom_escape(monitor)
-       << "\"} " << n << "\n";
-}
-
-std::string HealthSnapshot::to_prometheus() const {
-  std::ostringstream os;
-  write_prometheus(os);
-  return os.str();
-}
-
-void HealthSnapshot::write_prometheus_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) throw IoError("cannot open prometheus file for writing: " + path);
-  write_prometheus(os);
-  if (!os) throw IoError("prometheus file write failure: " + path);
-}
-
-// ---------------------------------------------------------------------------
 // HealthMonitor
 
 HealthMonitor::HealthMonitor()
     : calibration_(CalibrationMonitorConfig{}, &alerts_),
-      drift_(DriftMonitorConfig{}, &alerts_),
-      latency_(LatencySloMonitorConfig{}, &alerts_) {}
+      drift_(DriftMonitorConfig{}, &alerts_) {}
 
 HealthMonitor& HealthMonitor::instance() {
   static HealthMonitor monitor;
   return monitor;
-}
-
-void HealthMonitor::set_slo(const LatencySloConfigThresholds& slo) {
-  latency_.set_slo(slo);
 }
 
 HealthSnapshot HealthMonitor::snapshot() const {
@@ -187,11 +74,6 @@ HealthSnapshot HealthMonitor::snapshot() const {
   snap.drift_rows = drift_.count();
   snap.drift = drift_.drift();
   snap.max_abs_z = drift_.max_abs_z();
-  snap.latency_count = latency_.count();
-  snap.latency = latency_.percentiles();
-  snap.slo = latency_.config().slo;
-  snap.energy_total_mj = latency_.energy_total_mj();
-  snap.energy_mean_mj = latency_.energy_mean_mj();
   snap.alerts = alerts_.alerts();
   return snap;
 }
@@ -199,7 +81,6 @@ HealthSnapshot HealthMonitor::snapshot() const {
 void HealthMonitor::reset() {
   calibration_.reset();
   drift_.reset();
-  latency_.reset();
   alerts_.clear();
 }
 

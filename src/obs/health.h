@@ -1,9 +1,9 @@
 // HealthMonitor: process-wide aggregate of the streaming monitors in
 // obs/monitor.h, with point-in-time snapshots exportable as JSON
-// (`--health out.json`) and Prometheus text exposition format
-// (`--prom out.prom`) — the serving-side counterpart of the offline
-// tables/figures: uncertainty quality (coverage, NLL), input drift, and
-// latency/energy cost, all observable while the system runs.
+// (`--health out.json`) — the serving-side counterpart of the offline
+// tables/figures: uncertainty quality (coverage, NLL) and input drift,
+// observable while the system runs. Latency lives in the
+// `request.latency_ms` histogram of the metrics registry (`--metrics`).
 #pragma once
 
 #include <iosfwd>
@@ -27,13 +27,6 @@ struct HealthSnapshot {
   std::vector<DriftMonitor::FeatureDrift> drift;
   double max_abs_z = 0.0;
 
-  // Latency / energy.
-  std::size_t latency_count = 0;
-  LatencySloMonitor::Percentiles latency;
-  LatencySloConfigThresholds slo;
-  double energy_total_mj = 0.0;
-  double energy_mean_mj = 0.0;
-
   std::vector<Alert> alerts;
 
   /// Single JSON object with one section per monitor plus the alert list.
@@ -41,20 +34,12 @@ struct HealthSnapshot {
   std::string to_json() const;
   /// Throws IoError on failure.
   void write_json_file(const std::string& path) const;
-
-  /// Prometheus text exposition format (one `# HELP`/`# TYPE` pair per
-  /// family, `apds_health_*` series with level/feature/quantile labels),
-  /// ready for a file-based scrape or a textfile collector.
-  void write_prometheus(std::ostream& os) const;
-  std::string to_prometheus() const;
-  /// Throws IoError on failure.
-  void write_prometheus_file(const std::string& path) const;
 };
 
 /// Process-wide owner of one monitor of each kind sharing one AlertSink,
 /// mirroring MetricsRegistry::instance(). Call sites feed the individual
-/// monitors; ObsSession snapshots and exports on exit when `--health` /
-/// `--prom` were passed.
+/// monitors; ObsSession snapshots and exports on exit when `--health`
+/// was passed.
 class HealthMonitor {
  public:
   HealthMonitor();
@@ -65,11 +50,7 @@ class HealthMonitor {
 
   CalibrationMonitor& calibration() { return calibration_; }
   DriftMonitor& drift() { return drift_; }
-  LatencySloMonitor& latency() { return latency_; }
   AlertSink& alerts() { return alerts_; }
-
-  /// Replace the latency SLO thresholds (keeps windowed state).
-  void set_slo(const LatencySloConfigThresholds& slo);
 
   HealthSnapshot snapshot() const;
 
@@ -81,7 +62,6 @@ class HealthMonitor {
   AlertSink alerts_;
   CalibrationMonitor calibration_;
   DriftMonitor drift_;
-  LatencySloMonitor latency_;
 };
 
 }  // namespace apds::obs

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "obs/prom.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
 
@@ -174,55 +173,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     os << "}";
   }
   os << "\n}\n}\n";
-}
-
-void MetricsRegistry::write_prometheus(std::ostream& os) const {
-  MutexLock lock(&mu_);
-  for (const auto& [name, c] : counters_) {
-    const std::string prom = "apds_metric_" + obs::prom_sanitize_name(name) +
-                             "_total";
-    obs::prom_family(os, prom, "counter", "Counter " + name);
-    os << prom << " " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string prom = "apds_metric_" + obs::prom_sanitize_name(name);
-    obs::prom_family(os, prom, "gauge", "Gauge " + name);
-    os << prom << " " << g->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string prom = "apds_metric_" + obs::prom_sanitize_name(name);
-    obs::prom_family(os, prom, "histogram", "Histogram " + name);
-    const Histogram buckets = h->buckets();
-    const RunningStats stats = h->stats();
-    const std::vector<Exemplar> exemplars = h->exemplars();
-    const double width =
-        (h->hi_ms() - h->lo_ms()) / static_cast<double>(buckets.bins());
-    std::size_t cumulative = 0;
-    for (std::size_t b = 0; b < buckets.bins(); ++b) {
-      cumulative += buckets.count(b);
-      const double le =
-          h->lo_ms() + static_cast<double>(b + 1) * width;
-      os << prom << "_bucket{le=\"" << le << "\"} " << cumulative;
-      // OpenMetrics exemplar: the bucket's retained request id, so a tail
-      // bucket links straight to a trace apds_trace_report can resolve.
-      if (b < exemplars.size() && exemplars[b].request_id != 0)
-        os << " # {request_id=\"" << exemplars[b].request_id << "\"} "
-           << exemplars[b].value_ms;
-      os << "\n";
-    }
-    os << prom << "_bucket{le=\"+Inf\"} " << buckets.total() << "\n";
-    const double sum =
-        stats.count() > 0 ? stats.mean() * static_cast<double>(stats.count())
-                          : 0.0;
-    os << prom << "_sum " << sum << "\n";
-    os << prom << "_count " << buckets.total() << "\n";
-  }
-}
-
-std::string MetricsRegistry::to_prometheus() const {
-  std::ostringstream os;
-  write_prometheus(os);
-  return os.str();
 }
 
 std::string MetricsRegistry::to_json() const {

@@ -47,8 +47,10 @@ class Gauge {
 };
 
 /// Most recent (request id, value) pair that landed in one histogram
-/// bucket — the OpenMetrics exemplar linking a latency bucket back to a
-/// replayable request trace. request_id 0 means the bucket has none.
+/// bucket — the exemplar linking a latency bucket back to a replayable
+/// request trace (exported in the `--metrics` JSON; resolve it with
+/// `apds_trace_report --request <id>`). request_id 0 means the bucket has
+/// none.
 struct Exemplar {
   std::uint64_t request_id = 0;
   double value_ms = 0.0;
@@ -130,15 +132,6 @@ class MetricsRegistry {
   std::string to_json() const;
   /// Throws IoError on failure.
   void write_json_file(const std::string& path) const;
-
-  /// Prometheus text exposition: `apds_metric_<name>` families (names
-  /// sanitized to the Prometheus charset; counters get a `_total` suffix,
-  /// histograms emit cumulative le-buckets/_sum/_count with OpenMetrics
-  /// `# {request_id="..."}` exemplars on buckets that retained one).
-  /// Shares the writer conventions of HealthSnapshot::write_prometheus so
-  /// `--prom` can concatenate both registries into one scrape file.
-  void write_prometheus(std::ostream& os) const;
-  std::string to_prometheus() const;
 
   /// Zero every metric (objects and references stay valid).
   void reset();

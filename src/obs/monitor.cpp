@@ -16,16 +16,8 @@ namespace apds::obs {
 // ---------------------------------------------------------------------------
 // Alerts
 
-const char* alert_severity_name(AlertSeverity severity) {
-  return severity == AlertSeverity::kCritical ? "critical" : "warning";
-}
-
 void AlertSink::raise(Alert alert) {
-  if (alert.severity == AlertSeverity::kCritical) {
-    APDS_ERROR("health alert [" << alert.monitor << "] " << alert.message);
-  } else {
-    APDS_WARN("health alert [" << alert.monitor << "] " << alert.message);
-  }
+  APDS_WARN("health alert [" << alert.monitor << "] " << alert.message);
   // Let the flight recorder count the alert against in-flight requests and
   // dump the surrounding ring when a dump path is configured.
   FlightRecorder::instance().on_alert();
@@ -36,7 +28,6 @@ void AlertSink::raise(Alert alert) {
     event.category = "alert";
     std::ostringstream args;
     args << "\"message\":\"" << json_escape(alert.message)
-         << "\",\"severity\":\"" << alert_severity_name(alert.severity)
          << "\",\"value\":" << alert.value
          << ",\"threshold\":" << alert.threshold;
     event.args_json = args.str();
@@ -84,26 +75,10 @@ double SlidingWindow::mean() const {
   return acc / static_cast<double>(size_);
 }
 
-std::vector<double> SlidingWindow::sorted() const {
-  std::vector<double> out(buf_.begin(), buf_.begin() + size_);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void SlidingWindow::clear() {
   next_ = 0;
   size_ = 0;
   total_ = 0;
-}
-
-double percentile_sorted(std::span<const double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  APDS_CHECK(p >= 0.0 && p <= 1.0);
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,8 +166,8 @@ void CalibrationMonitor::check_alerts_locked() {
           << config_.nominal_levels[l] << " is off by " << gap
           << " (tolerance " << config_.coverage_tolerance << ", window "
           << zs.size() << ")";
-      sink_->raise({"calibration", msg.str(), AlertSeverity::kWarning, gap,
-                    config_.coverage_tolerance});
+      sink_->raise(
+          {"calibration", msg.str(), gap, config_.coverage_tolerance});
     }
     breached_[l] = breach;
   }
@@ -320,92 +295,12 @@ void DriftMonitor::check_alerts_locked() {
       msg << "feature " << f << " drifted: " << what << " " << value
           << " vs threshold " << threshold << " (window mean "
           << windows_[f].mean() << ", reference mean " << ref_mean_[f] << ")";
-      sink_->raise(
-          {"drift", msg.str(), AlertSeverity::kWarning, value, threshold});
+      sink_->raise({"drift", msg.str(), value, threshold});
     }
     // Only the z criterion is re-evaluated every row; keep the latch on the
     // z state so a KS-only breach does not re-fire every full window.
     if (breach || std::fabs(z) <= config_.z_threshold * 0.9)
       breached_[f] = breach;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// LatencySloMonitor
-
-LatencySloMonitor::LatencySloMonitor(LatencySloMonitorConfig config,
-                                     AlertSink* sink)
-    : config_(config), sink_(sink), latencies_(config.window) {}
-
-void LatencySloMonitor::observe(double ms, double flops) {
-  APDS_CHECK(ms >= 0.0);
-  MutexLock lock(&mu_);
-  latencies_.push(ms);
-  if (flops > 0.0) {
-    energy_total_mj_ += config_.edison.energy_mj(flops);
-    ++energy_count_;
-  }
-  check_alerts_locked();
-}
-
-std::size_t LatencySloMonitor::count() const {
-  MutexLock lock(&mu_);
-  return latencies_.total();
-}
-
-LatencySloMonitor::Percentiles LatencySloMonitor::percentiles() const {
-  MutexLock lock(&mu_);
-  const std::vector<double> sorted = latencies_.sorted();
-  return {percentile_sorted(sorted, 0.50), percentile_sorted(sorted, 0.95),
-          percentile_sorted(sorted, 0.99)};
-}
-
-double LatencySloMonitor::energy_total_mj() const {
-  MutexLock lock(&mu_);
-  return energy_total_mj_;
-}
-
-double LatencySloMonitor::energy_mean_mj() const {
-  MutexLock lock(&mu_);
-  return energy_count_ == 0
-             ? 0.0
-             : energy_total_mj_ / static_cast<double>(energy_count_);
-}
-
-void LatencySloMonitor::set_slo(const LatencySloConfigThresholds& slo) {
-  MutexLock lock(&mu_);
-  config_.slo = slo;
-  for (bool& b : breached_) b = false;
-}
-
-void LatencySloMonitor::reset() {
-  MutexLock lock(&mu_);
-  latencies_.clear();
-  energy_total_mj_ = 0.0;
-  energy_count_ = 0;
-  for (bool& b : breached_) b = false;
-}
-
-void LatencySloMonitor::check_alerts_locked() {
-  if (sink_ == nullptr || latencies_.total() < config_.min_count) return;
-  const std::vector<double> sorted = latencies_.sorted();
-  const double ps[3] = {0.50, 0.95, 0.99};
-  const double limits[3] = {config_.slo.p50_ms, config_.slo.p95_ms,
-                            config_.slo.p99_ms};
-  const char* names[3] = {"p50", "p95", "p99"};
-  for (int i = 0; i < 3; ++i) {
-    if (limits[i] <= 0.0) continue;  // unchecked
-    const double observed = percentile_sorted(sorted, ps[i]);
-    const bool breach = observed > limits[i];
-    if (breach && !breached_[i]) {
-      std::ostringstream msg;
-      msg << "windowed " << names[i] << " latency " << observed
-          << " ms exceeds SLO " << limits[i] << " ms (window " << sorted.size()
-          << ")";
-      sink_->raise({"latency_slo", msg.str(), AlertSeverity::kCritical,
-                    observed, limits[i]});
-    }
-    breached_[i] = breach;
   }
 }
 

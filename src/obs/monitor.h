@@ -1,10 +1,10 @@
 // Streaming health monitors for the inference stack: sliding-window
-// calibration coverage/NLL, per-feature input-drift detection against a
-// frozen training-set reference, and latency/energy SLO tracking. Each
-// monitor ingests observations one at a time (cheap enough for the serving
-// hot path), keeps a bounded window, and raises structured alerts through
-// an AlertSink when a threshold is breached. The HealthMonitor aggregate
-// and the JSON / Prometheus exporters live in obs/health.h.
+// calibration coverage/NLL and per-feature input-drift detection against a
+// frozen training-set reference. Each monitor ingests observations one at
+// a time (cheap enough for the serving hot path), keeps a bounded window,
+// and raises structured alerts through an AlertSink when a threshold is
+// breached. The HealthMonitor aggregate and its JSON exporter live in
+// obs/health.h.
 #pragma once
 
 #include <cstddef>
@@ -14,29 +14,23 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "platform/edison.h"
 
 namespace apds::obs {
 
 // ---------------------------------------------------------------------------
 // Alerts
 
-enum class AlertSeverity { kWarning, kCritical };
-
 /// One threshold breach, machine-readable. `value` is the observed
 /// statistic, `threshold` the configured limit it crossed.
 struct Alert {
-  std::string monitor;   ///< "calibration" | "drift" | "latency_slo"
+  std::string monitor;   ///< "calibration" | "drift"
   std::string message;
-  AlertSeverity severity = AlertSeverity::kWarning;
   double value = 0.0;
   double threshold = 0.0;
 };
 
-const char* alert_severity_name(AlertSeverity severity);
-
 /// Thread-safe alert collector. Every raised alert is also emitted as a log
-/// line (warn/error) and, when tracing is enabled, as a zero-duration trace
+/// line (warn) and, when tracing is enabled, as a zero-duration trace
 /// event in the "alert" category, so breaches land in the same timeline as
 /// the spans that caused them.
 class AlertSink {
@@ -68,8 +62,6 @@ class SlidingWindow {
   /// Lifetime observation count (monotonic).
   std::size_t total() const { return total_; }
   double mean() const;
-  /// Ascending copy of the held observations.
-  std::vector<double> sorted() const;
   void clear();
 
   /// Values currently held, unordered.
@@ -81,10 +73,6 @@ class SlidingWindow {
   std::size_t size_ = 0;
   std::size_t total_ = 0;
 };
-
-/// Interpolated percentile (p in [0, 1]) of an ascending-sorted sample,
-/// matching the convention of platform/profiler.cpp. 0.0 when empty.
-double percentile_sorted(std::span<const double> sorted, double p);
 
 // ---------------------------------------------------------------------------
 // Calibration
@@ -212,68 +200,6 @@ class DriftMonitor {
   /// Per feature, edge-triggered.
   std::vector<bool> breached_ APDS_GUARDED_BY(mu_);
   std::size_t rows_ APDS_GUARDED_BY(mu_) = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Latency / energy SLO
-
-struct LatencySloConfigThresholds {
-  double p50_ms = 0.0;  ///< 0 disables the check
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-struct LatencySloMonitorConfig {
-  std::size_t window = 512;
-  LatencySloConfigThresholds slo;
-  std::size_t min_count = 32;
-  /// Execution model used to turn per-inference FLOP counts into modelled
-  /// energy (the paper's Edison budget).
-  EdisonModel edison;
-};
-
-/// Windowed p50/p95/p99 inference latency against configurable SLO
-/// thresholds, plus accumulated modelled energy for observations that
-/// carry a FLOP count.
-class LatencySloMonitor {
- public:
-  explicit LatencySloMonitor(LatencySloMonitorConfig config = {},
-                             AlertSink* sink = nullptr);
-
-  /// One inference: measured wall-clock ms and, when known, the modelled
-  /// FLOP cost (0 = no energy contribution).
-  void observe(double ms, double flops = 0.0);
-
-  struct Percentiles {
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-  };
-
-  std::size_t count() const;  ///< lifetime observations
-  Percentiles percentiles() const;  ///< over the current window
-  /// Modelled energy (mJ) summed over all observations with flops > 0.
-  double energy_total_mj() const;
-  /// Mean modelled energy per inference (0.0 before any flops-carrying
-  /// observation).
-  double energy_mean_mj() const;
-
-  const LatencySloMonitorConfig& config() const { return config_; }
-  /// Replace the SLO thresholds (keeps windowed state; re-arms alerts).
-  void set_slo(const LatencySloConfigThresholds& slo);
-  void reset();
-
- private:
-  void check_alerts_locked() APDS_REQUIRES(mu_);
-
-  LatencySloMonitorConfig config_;
-  AlertSink* sink_;
-  mutable Mutex mu_;
-  SlidingWindow latencies_ APDS_GUARDED_BY(mu_);
-  double energy_total_mj_ APDS_GUARDED_BY(mu_) = 0.0;
-  std::size_t energy_count_ APDS_GUARDED_BY(mu_) = 0;
-  /// p50/p95/p99, edge-triggered.
-  bool breached_[3] APDS_GUARDED_BY(mu_) = {false, false, false};
 };
 
 }  // namespace apds::obs

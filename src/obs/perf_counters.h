@@ -138,7 +138,7 @@ class KernelPerfTable {
   /// Publish per-backend gauges (`perf.<backend>.ipc`,
   /// `perf.<backend>.cache_miss_rate`, `perf.<backend>.cycles`,
   /// `perf.<backend>.regions`) into the MetricsRegistry for backends that
-  /// recorded at least one region — they ride the --metrics/--prom export.
+  /// recorded at least one region — they ride the --metrics export.
   void publish_metrics() const;
 
   void reset();

@@ -6,8 +6,6 @@
 #include <iostream>
 #include <vector>
 
-#include <fstream>
-
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/parse_num.h"
@@ -15,7 +13,6 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
-#include "obs/process_metrics.h"
 #include "obs/sampling_profiler.h"
 #include "obs/trace.h"
 #include "platform/thread_pool.h"
@@ -34,36 +31,6 @@ LogLevel parse_level(std::string name) {
   if (name == "off" || name == "none") return LogLevel::kOff;
   throw InvalidArgument("--log-level: unknown level '" + name +
                         "' (want debug|info|warn|error|off)");
-}
-
-/// Parse "--slo p50,p95,p99" (each a non-negative ms value, 0 = unchecked;
-/// fewer than three values leave the remaining percentiles unchecked).
-void parse_slo(const std::string& value, ObsOptions& options) {
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = value.find(',', start);
-    tokens.push_back(comma == std::string::npos
-                         ? value.substr(start)
-                         : value.substr(start, comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  const auto bad = [&]() -> InvalidArgument {
-    return InvalidArgument(
-        "--slo: want up to three comma-separated ms values p50,p95,p99 "
-        "(non-negative, 0 = unchecked), got '" + value + "'");
-  };
-  if (tokens.empty() || tokens.size() > 3) throw bad();
-  double parts[3] = {0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const auto v = parse_double(tokens[i]);
-    if (!v || *v < 0.0) throw bad();
-    parts[i] = *v;
-  }
-  options.slo_p50_ms = parts[0];
-  options.slo_p95_ms = parts[1];
-  options.slo_p99_ms = parts[2];
 }
 
 }  // namespace
@@ -86,14 +53,10 @@ ObsOptions parse_obs_flags(int& argc, char** argv) {
       options.metrics_path = take_value("--metrics");
     } else if (arg == "--health") {
       options.health_path = take_value("--health");
-    } else if (arg == "--prom") {
-      options.prom_path = take_value("--prom");
     } else if (arg == "--flight") {
       options.flight_path = take_value("--flight");
     } else if (arg == "--profile") {
       options.profile_path = take_value("--profile");
-    } else if (arg == "--slo") {
-      parse_slo(take_value("--slo"), options);
     } else if (arg == "--log-level") {
       set_log_level(parse_level(take_value("--log-level")));
     } else if (arg == "--threads") {
@@ -128,15 +91,12 @@ const char* obs_flags_help() {
   return "  --trace <file>      write Chrome-trace JSON + aggregate table\n"
          "  --metrics <file>    write metrics (counters/gauges) JSON\n"
          "  --health <file>     write health snapshot JSON (calibration,\n"
-         "                      drift, latency/energy, alerts)\n"
-         "  --prom <file>       write health snapshot + metrics registry in\n"
-         "                      Prometheus text exposition format\n"
+         "                      drift, alerts)\n"
          "  --flight <file>     write flight-recorder request ring as JSON\n"
          "                      (alert dumps go to <file>.alert)\n"
          "  --profile <file>    sampling profiler + hardware counter regions;\n"
          "                      writes profile JSON to <file>, collapsed\n"
          "                      stacks to <file>.folded (flamegraph.pl input)\n"
-         "  --slo <p50,p95,p99> latency SLO thresholds in ms (0 = unchecked)\n"
          "  --log-level <lvl>   debug|info|warn|error|off\n"
          "  --threads <n>       thread-pool width (1 = serial; default\n"
          "                      APDS_THREADS env, then hardware)\n"
@@ -146,6 +106,14 @@ const char* obs_flags_help() {
          "  --kernel <b>        kernel ISA tier: scalar|avx2|avx512\n"
          "                      (default APDS_KERNEL env, then CPUID probe;\n"
          "                      unsupported tiers clamp to the best one)";
+}
+
+bool only_obs_flags(int argc, char** argv) {
+  if (argc <= 1) return true;
+  std::cerr << "unknown argument '" << argv[1] << "'\nusage: " << argv[0]
+            << " [flags]\n"
+            << obs_flags_help() << "\n";
+  return false;
 }
 
 ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
@@ -167,14 +135,9 @@ ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
   MetricsRegistry::instance().gauge("run.precision_f32").set(
       global_precision() == Precision::kF32 ? 1.0 : 0.0);
   // Which kernel tier serves traffic (0 = scalar, 1 = avx2, 2 = avx512 —
-  // the KernelBackend enum values), visible in --metrics/--prom dumps.
+  // the KernelBackend enum values), visible in --metrics dumps.
   MetricsRegistry::instance().gauge("kernel.dispatch_backend").set(
       static_cast<double>(static_cast<int>(global_kernel_backend())));
-  if (options_.slo_p50_ms > 0.0 || options_.slo_p95_ms > 0.0 ||
-      options_.slo_p99_ms > 0.0) {
-    HealthMonitor::instance().set_slo(
-        {options_.slo_p50_ms, options_.slo_p95_ms, options_.slo_p99_ms});
-  }
   if (!options_.flight_path.empty())
     FlightRecorder::instance().set_dump_path(options_.flight_path);
   // SIGUSR1 dumps work even without --flight (default apds_flight.json).
@@ -190,7 +153,7 @@ ObsSession::~ObsSession() {
       SamplingProfiler& profiler = SamplingProfiler::instance();
       profiler.stop();
       set_perf_profiling(false);
-      // The per-backend counter gauges ride the --metrics/--prom exports
+      // The per-backend counter gauges ride the --metrics export
       // below, so publish before those writers run.
       KernelPerfTable::instance().publish_metrics();
       write_profile_files(options_.profile_path);
@@ -224,30 +187,9 @@ ObsSession::~ObsSession() {
     }
     if (options_.health_export()) {
       const HealthSnapshot snap = HealthMonitor::instance().snapshot();
-      if (!options_.health_path.empty()) {
-        snap.write_json_file(options_.health_path);
-        std::cout << "health snapshot written to " << options_.health_path
-                  << "\n";
-      }
-      if (!options_.prom_path.empty()) {
-        // One scrape file covering both registries: the health snapshot
-        // (apds_health_*) and the metrics registry (apds_metric_*, with
-        // exemplars on attributed histogram buckets).
-        std::ofstream prom(options_.prom_path, std::ios::trunc);
-        if (!prom)
-          throw IoError("cannot open prometheus file for writing: " +
-                        options_.prom_path);
-        snap.write_prometheus(prom);
-        MetricsRegistry::instance().write_prometheus(prom);
-        // Process self-metrics (RSS, CPU seconds, threads, fds) complete
-        // the scrape; omitted automatically when /proc is unavailable.
-        write_process_prometheus(prom);
-        if (!prom)
-          throw IoError("prometheus file write failure: " +
-                        options_.prom_path);
-        std::cout << "prometheus metrics written to " << options_.prom_path
-                  << "\n";
-      }
+      snap.write_json_file(options_.health_path);
+      std::cout << "health snapshot written to " << options_.health_path
+                << "\n";
       if (!snap.alerts.empty())
         std::cout << "health: " << snap.alerts.size()
                   << " alert(s) raised during this run\n";

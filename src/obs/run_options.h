@@ -5,10 +5,7 @@
 //   --metrics <file>    write the MetricsRegistry JSON on exit
 //   --health <file>     write the HealthMonitor snapshot JSON on exit
 //                       (calibration coverage/NLL, drift z-scores,
-//                       latency p50/p95/p99, modelled energy, alerts)
-//   --prom <file>       write the health snapshot AND the MetricsRegistry
-//                       (apds_health_* + apds_metric_* families, with
-//                       OpenMetrics exemplars) as one Prometheus text file
+//                       alerts)
 //   --flight <file>     write the flight-recorder ring (last N completed
 //                       requests) as JSON on exit; also enables the
 //                       alert-triggered dump to <file>.alert
@@ -19,8 +16,6 @@
 //                       raw collapsed stacks to <file>.folded, and print
 //                       the top self-time entries (see
 //                       tools/apds_profile_report)
-//   --slo <p50,p95,p99> latency SLO thresholds in ms fed to the health
-//                       monitor (0 disables a percentile's check)
 //   --log-level <lvl>   debug | info | warn | error | off
 //   --threads <n>       width of the global thread pool (1 = serial).
 //                       Precedence: --threads > APDS_THREADS env >
@@ -52,7 +47,6 @@ struct ObsOptions {
   std::string trace_path;    ///< empty = tracing stays disabled
   std::string metrics_path;  ///< empty = no metrics export
   std::string health_path;   ///< empty = no health-snapshot JSON export
-  std::string prom_path;     ///< empty = no Prometheus export
   std::string flight_path;   ///< empty = no flight-recorder exit dump
   std::string profile_path;  ///< empty = profiling stays off
   std::size_t threads = 0;   ///< 0 = APDS_THREADS env / hardware default
@@ -60,15 +54,9 @@ struct ObsOptions {
   std::optional<Precision> precision;
   /// --kernel; unset = APDS_KERNEL env / CPUID probe.
   std::optional<KernelBackend> kernel;
-  /// Latency SLO thresholds (--slo); all 0 = no checks.
-  double slo_p50_ms = 0.0;
-  double slo_p95_ms = 0.0;
-  double slo_p99_ms = 0.0;
   bool tracing() const { return !trace_path.empty(); }
   bool profiling() const { return !profile_path.empty(); }
-  bool health_export() const {
-    return !health_path.empty() || !prom_path.empty();
-  }
+  bool health_export() const { return !health_path.empty(); }
 };
 
 /// Parse and strip the observability flags from argv (argc is compacted;
@@ -80,6 +68,12 @@ ObsOptions parse_obs_flags(int& argc, char** argv);
 /// One-line usage blurb for the shared flags, for --help texts.
 const char* obs_flags_help();
 
+/// True when parse_obs_flags left nothing but the program name in argv.
+/// Otherwise prints the first leftover argument and the usage (with
+/// obs_flags_help()) to stderr and returns false; binaries that take no
+/// arguments of their own then exit 2, so a mistyped flag fails loudly.
+bool only_obs_flags(int argc, char** argv);
+
 /// RAII wiring: enables tracing on construction when options ask for it,
 /// configures the global thread pool (--threads), inference precision
 /// (--precision) and kernel ISA tier (--kernel), publishes the
@@ -87,7 +81,7 @@ const char* obs_flags_help();
 /// gauges, points the flight recorder at --flight's path and installs its
 /// SIGUSR1 dump handler; on destruction writes the Chrome-trace JSON,
 /// prints the aggregate span table to stdout, and writes the metrics,
-/// health, Prometheus (both registries) and flight-recorder files.
+/// health and flight-recorder files.
 /// Export errors are logged, never thrown (safe in main()'s unwind path).
 class ObsSession {
  public:

@@ -30,8 +30,8 @@ class ApdEstimator final : public UncertaintyEstimator {
   const ApDeepSense& propagator() const { return propagator_; }
 
   /// The session backing predict_* at `precision`: propagator().session()
-  /// (built on first use; sessions are shared_ptr so callers may also park
-  /// them in a SessionRegistry).
+  /// (built on first use). Serving loops that reuse an output batch call
+  /// its propagate(input, out) directly.
   std::shared_ptr<InferenceSession> session(Precision precision) const {
     return propagator_.session(precision);
   }

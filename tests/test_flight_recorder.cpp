@@ -174,7 +174,7 @@ TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
   std::remove(path.c_str());
 }
 
-TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInPrometheus) {
+TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {
   MetricsRegistry::instance().reset();
   auto& hist =
       MetricsRegistry::instance().histogram("exemplar.test_ms", 0.0, 100.0, 10);
@@ -191,13 +191,21 @@ TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInPrometheus) {
   EXPECT_TRUE(low);
   EXPECT_TRUE(high);
 
-  std::ostringstream os;
-  MetricsRegistry::instance().write_prometheus(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("apds_metric_exemplar_test_ms_bucket"),
-            std::string::npos);
-  EXPECT_NE(text.find("# {request_id=\"42\"} 5"), std::string::npos);
-  EXPECT_NE(text.find("# {request_id=\"43\"} 95"), std::string::npos);
+  // The --metrics JSON carries each bucket's exemplar, which is how a tail
+  // bucket links to a trace apds_trace_report can resolve.
+  const std::string json = MetricsRegistry::instance().to_json();
+  EXPECT_TRUE(testing::json_valid(json)) << json;
+  const std::size_t at = json.find("\"exemplar.test_ms\":{");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::size_t begin = json.find("\"exemplars\":[", at);
+  ASSERT_NE(begin, std::string::npos) << json;
+  const std::string listed = json.substr(begin, json.find(']', begin) - begin);
+  EXPECT_NE(listed.find("{\"bucket\":0,\"request_id\":42,\"value_ms\":5}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(listed.find("{\"bucket\":9,\"request_id\":43,\"value_ms\":95}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <regex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,7 @@ namespace apds::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SlidingWindow / percentile_sorted
+// SlidingWindow
 
 TEST(SlidingWindowTest, RingEvictsOldestAndTracksLifetimeTotal) {
   SlidingWindow w(3);
@@ -25,23 +24,15 @@ TEST(SlidingWindowTest, RingEvictsOldestAndTracksLifetimeTotal) {
   EXPECT_EQ(w.size(), 3u);
   EXPECT_EQ(w.total(), 5u);
   EXPECT_NEAR(w.mean(), (3.0 + 4.0 + 5.0) / 3.0, 1e-12);
-  const auto sorted = w.sorted();
+  const auto held = w.values();
+  std::vector<double> sorted(held.begin(), held.end());
+  std::sort(sorted.begin(), sorted.end());
   ASSERT_EQ(sorted.size(), 3u);
   EXPECT_EQ(sorted.front(), 3.0);
   EXPECT_EQ(sorted.back(), 5.0);
   w.clear();
   EXPECT_EQ(w.size(), 0u);
   EXPECT_EQ(w.total(), 0u);
-}
-
-TEST(PercentileSortedTest, InterpolatesBetweenRanks) {
-  std::vector<double> sorted;
-  for (int i = 1; i <= 100; ++i) sorted.push_back(static_cast<double>(i));
-  EXPECT_NEAR(percentile_sorted(sorted, 0.50), 50.5, 1e-12);
-  EXPECT_NEAR(percentile_sorted(sorted, 0.95), 95.05, 1e-9);
-  EXPECT_EQ(percentile_sorted(sorted, 0.0), 1.0);
-  EXPECT_EQ(percentile_sorted(sorted, 1.0), 100.0);
-  EXPECT_EQ(percentile_sorted({}, 0.5), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -83,7 +74,6 @@ TEST(CalibrationMonitorTest, OverconfidentStreamRaisesCoverageAlert) {
   ASSERT_GE(sink.count(), 1u);
   const auto alerts = sink.alerts();
   EXPECT_EQ(alerts.front().monitor, "calibration");
-  EXPECT_EQ(alerts.front().severity, AlertSeverity::kWarning);
   // Edge-triggered: a persistent breach must not alert once per observation.
   EXPECT_LE(sink.count(), cfg.nominal_levels.size());
 }
@@ -162,54 +152,6 @@ TEST(DriftMonitorTest, ObserveBeforeReferenceAndBadShapesThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// LatencySloMonitor
-
-TEST(LatencySloMonitorTest, PercentilesTrackTheWindow) {
-  LatencySloMonitor mon;
-  for (int i = 1; i <= 100; ++i) mon.observe(static_cast<double>(i));
-  const auto p = mon.percentiles();
-  EXPECT_NEAR(p.p50_ms, 50.5, 1e-9);
-  EXPECT_NEAR(p.p95_ms, 95.05, 1e-9);
-  EXPECT_NEAR(p.p99_ms, 99.01, 1e-9);
-  EXPECT_EQ(mon.count(), 100u);
-}
-
-TEST(LatencySloMonitorTest, BreachingSloRaisesCriticalAlertOnce) {
-  AlertSink sink;
-  LatencySloMonitorConfig cfg;
-  cfg.slo.p50_ms = 5.0;
-  cfg.min_count = 32;
-  LatencySloMonitor mon(cfg, &sink);
-  for (int i = 0; i < 100; ++i) mon.observe(10.0);
-  ASSERT_EQ(sink.count(), 1u);  // edge-triggered, not once per observation
-  const Alert a = sink.alerts().front();
-  EXPECT_EQ(a.monitor, "latency_slo");
-  EXPECT_EQ(a.severity, AlertSeverity::kCritical);
-  EXPECT_EQ(a.threshold, 5.0);
-  EXPECT_NEAR(a.value, 10.0, 1e-9);
-}
-
-TEST(LatencySloMonitorTest, FastStreamStaysQuiet) {
-  AlertSink sink;
-  LatencySloMonitorConfig cfg;
-  cfg.slo = {5.0, 8.0, 10.0};
-  LatencySloMonitor mon(cfg, &sink);
-  for (int i = 0; i < 100; ++i) mon.observe(1.0);
-  EXPECT_EQ(sink.count(), 0u);
-}
-
-TEST(LatencySloMonitorTest, AccumulatesModelledEnergy) {
-  LatencySloMonitor mon;
-  const double flops = 2.0e6;
-  const double expected_mj = mon.config().edison.energy_mj(flops);
-  mon.observe(1.0, flops);
-  mon.observe(1.0, flops);
-  mon.observe(1.0);  // no FLOP count: latency only, no energy contribution
-  EXPECT_NEAR(mon.energy_total_mj(), 2.0 * expected_mj, 1e-12);
-  EXPECT_NEAR(mon.energy_mean_mj(), expected_mj, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // HealthSnapshot export
 
 // The monitors hold mutexes, so HealthMonitor is neither copyable nor
@@ -223,7 +165,6 @@ void populate_monitor(HealthMonitor& health) {
     const double row[] = {rng.normal()};
     health.drift().observe(row);
     health.calibration().observe(0.0, 1.0, rng.normal());
-    health.latency().observe(rng.uniform(0.5, 2.0), 1.0e6);
   }
 }
 
@@ -233,68 +174,36 @@ TEST(HealthSnapshotTest, JsonIsValidAndCarriesEverySection) {
   const HealthSnapshot snap = health.snapshot();
   EXPECT_EQ(snap.calibration_count, 128u);
   EXPECT_EQ(snap.drift_rows, 128u);
-  EXPECT_EQ(snap.latency_count, 128u);
   const std::string json = snap.to_json();
   EXPECT_TRUE(apds::testing::json_valid(json)) << json;
   for (const char* key :
        {"\"calibration\"", "\"coverage\"", "\"nll\"", "\"drift\"",
-        "\"features\"", "\"latency\"", "\"p50_ms\"", "\"p95_ms\"",
-        "\"p99_ms\"", "\"energy_total_mj\"", "\"alerts\""})
+        "\"features\"", "\"max_abs_z\"", "\"alerts\""})
     EXPECT_NE(json.find(key), std::string::npos) << key;
-}
-
-TEST(HealthSnapshotTest, PrometheusExportIsWellFormedLineByLine) {
-  HealthMonitor health;
-  populate_monitor(health);
-  const std::string text = health.snapshot().to_prometheus();
-  ASSERT_FALSE(text.empty());
-  ASSERT_EQ(text.back(), '\n');
-
-  const std::regex help_re(R"(# HELP apds_health_[a-z0-9_]+ .+)");
-  const std::regex type_re(R"(# TYPE apds_health_[a-z0-9_]+ (gauge|counter))");
-  const std::regex sample_re(
-      R"(apds_health_[a-z0-9_]+(\{[a-z0-9_]+="[^"]*"(,[a-z0-9_]+="[^"]*")*\})? -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?)");
-
-  std::istringstream is(text);
-  std::string line;
-  std::size_t samples = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# HELP", 0) == 0) {
-      EXPECT_TRUE(std::regex_match(line, help_re)) << line;
-    } else if (line.rfind("# TYPE", 0) == 0) {
-      EXPECT_TRUE(std::regex_match(line, type_re)) << line;
-    } else {
-      EXPECT_TRUE(std::regex_match(line, sample_re)) << line;
-      ++samples;
-    }
-  }
-  EXPECT_GT(samples, 10u);
-
-  for (const char* family :
-       {"apds_health_calibration_coverage", "apds_health_calibration_nll",
-        "apds_health_drift_z", "apds_health_drift_max_abs_z",
-        "apds_health_latency_ms", "apds_health_energy_mj_total",
-        "apds_health_alerts_total"})
-    EXPECT_NE(text.find(family), std::string::npos) << family;
 }
 
 TEST(HealthMonitorTest, SnapshotCollectsAlertsAndResetClears) {
   HealthMonitor health;
-  health.set_slo({0.001, 0.0, 0.0});
-  for (int i = 0; i < 64; ++i) health.latency().observe(5.0);
+  const std::vector<double> ref_mean = {0.0};
+  const std::vector<double> ref_var = {1.0};
+  health.drift().set_reference(ref_mean, ref_var);
+  Rng rng(20);
+  // The mean shift of DriftMonitorTest.FiresOnMeanShift: +1 sd.
+  for (std::size_t i = 0; i < 512; ++i) {
+    const double row[] = {rng.normal(1.0, 1.0)};
+    health.drift().observe(row);
+  }
   HealthSnapshot snap = health.snapshot();
-  ASSERT_EQ(snap.alerts.size(), 1u);
-  EXPECT_EQ(snap.alerts.front().monitor, "latency_slo");
-  // The alert also lands in the serialized forms.
-  EXPECT_NE(snap.to_json().find("latency_slo"), std::string::npos);
-  EXPECT_NE(snap.to_prometheus().find("apds_health_alerts_total"),
-            std::string::npos);
+  ASSERT_EQ(snap.alerts.size(), 1u);  // edge-triggered on the shared sink
+  EXPECT_EQ(snap.alerts.front().monitor, "drift");
+  // The alert also lands in the serialized form.
+  EXPECT_NE(snap.to_json().find("\"monitor\":\"drift\""), std::string::npos);
 
   health.reset();
   snap = health.snapshot();
-  EXPECT_EQ(snap.latency_count, 0u);
+  EXPECT_EQ(snap.drift_rows, 0u);
   EXPECT_TRUE(snap.alerts.empty());
+  EXPECT_TRUE(health.drift().has_reference());  // reset keeps the reference
 }
 
 TEST(HealthMonitorTest, GlobalInstanceIsSingleton) {

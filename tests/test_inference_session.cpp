@@ -1,8 +1,7 @@
-// InferenceSession and SessionRegistry: the zero-alloc steady-state
-// contract (the whole point of planned arenas), f64 bit-identity against a
-// test-local reference built from public pieces, ApDeepSense running its
-// own sessions at every precision, arena replanning/trim, and the
-// registry's LRU/budget/eviction behavior.
+// InferenceSession: the zero-alloc steady-state contract (the whole point
+// of planned arenas), f64 bit-identity against a test-local reference
+// built from public pieces, ApDeepSense running its own sessions at every
+// precision, and arena replanning.
 #include "core/inference_session.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "common/rng.h"
 #include "core/adaptive_surrogate.h"
 #include "core/apdeepsense.h"
-#include "core/session_registry.h"
 #include "moment_reference.h"
 #include "obs/alloc_stats.h"
 #include "obs/metrics.h"
@@ -70,7 +68,7 @@ TEST(InferenceSession, ShapesAndMetadataMatchTheNetwork) {
   EXPECT_EQ(out.dim(), 3u);
   EXPECT_EQ(session.propagate_count(), 1u);
 
-  // Exact packed footprints, which SessionRegistry budgets against. f64
+  // Exact packed footprints (what memory_bytes() reports). f64
   // and f32 keep W and b only (the f64 variance GEMM and the fused f32
   // tile square W as they read it, so no W∘W pack may come back
   // unnoticed); i8 keeps i8 W and W∘W plus one f32 scale per column each
@@ -250,124 +248,6 @@ TEST(InferenceSession, LargerBatchReplansThenReturnsToSteadyState) {
   session.propagate(small, out);
   const obs::AllocCounters delta = obs::process_alloc_counters() - before;
   EXPECT_EQ(delta.allocs, 0u);
-}
-
-TEST(InferenceSession, TrimReleasesArenasAndTheNextPropagateReplans) {
-  Rng rng(71);
-  const Mlp mlp = random_mlp({6, 14, 2}, Activation::kTanh, 0.9, rng);
-  const InferenceSession session(mlp);
-  const MeanVar input = MeanVar::point(random_matrix(8, 6, rng));
-  MeanVar out;
-  session.propagate(input, out);
-  EXPECT_GT(session.arena_bytes(), 0u);
-  const MeanVar reference = out;
-
-  session.trim();
-  EXPECT_EQ(session.arena_bytes(), 0u);
-
-  session.propagate(input, out);
-  EXPECT_GT(session.arena_bytes(), 0u);
-  for (std::size_t i = 0; i < out.batch(); ++i)
-    for (std::size_t j = 0; j < out.dim(); ++j) {
-      EXPECT_EQ(out.mean(i, j), reference.mean(i, j));
-      EXPECT_EQ(out.var(i, j), reference.var(i, j));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SessionRegistry
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<InferenceSession> make_session(std::uint64_t seed,
-                                               int* loads = nullptr) {
-  if (loads) ++*loads;
-  Rng rng(seed);
-  const Mlp mlp = random_mlp({4, 12, 2}, Activation::kRelu, 0.9, rng);
-  return std::make_shared<InferenceSession>(mlp);
-}
-
-TEST(SessionRegistry, GetOrLoadCallsTheLoaderOncePerResidentKey) {
-  SessionRegistry registry;
-  int loads = 0;
-  const auto first =
-      registry.get_or_load("bpest/f64", [&] { return make_session(1, &loads); });
-  const auto again =
-      registry.get_or_load("bpest/f64", [&] { return make_session(1, &loads); });
-  EXPECT_EQ(loads, 1);
-  EXPECT_EQ(first.get(), again.get());
-  EXPECT_EQ(registry.get("bpest/f64").get(), first.get());
-  EXPECT_EQ(registry.get("absent"), nullptr);
-
-  const SessionRegistryStats stats = registry.stats();
-  EXPECT_EQ(stats.resident_sessions, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // the initial load + the absent-key get
-  EXPECT_EQ(stats.hits, 2u);  // one get_or_load hit + one get hit
-  EXPECT_GT(stats.resident_bytes, 0u);
-}
-
-TEST(SessionRegistry, EvictDropsTheKeyAndCountsTheMetric) {
-  auto& reg = MetricsRegistry::instance();
-  const std::int64_t before = reg.counter("session.evictions").value();
-
-  SessionRegistry registry;
-  registry.get_or_load("gas/f32", [] { return make_session(2); });
-  EXPECT_TRUE(registry.evict("gas/f32"));
-  EXPECT_FALSE(registry.evict("gas/f32"));  // already gone
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(registry.stats().evictions, 1u);
-  EXPECT_EQ(reg.counter("session.evictions").value(), before + 1);
-  EXPECT_GE(reg.counter("session.evictions.gas/f32").value(), 1);
-}
-
-TEST(SessionRegistry, ByteBudgetEvictsLeastRecentlyUsedFirst) {
-  SessionRegistry registry;  // unlimited while loading the zoo
-  registry.get_or_load("a", [] { return make_session(3); });
-  registry.get_or_load("b", [] { return make_session(4); });
-  registry.get_or_load("c", [] { return make_session(5); });
-  ASSERT_EQ(registry.size(), 3u);
-  // Touch "a" so "b" becomes the LRU victim.
-  registry.get("a");
-
-  const std::size_t one = registry.get("a")->memory_bytes();
-  registry.set_byte_budget(one * 2);
-  // Budget is enforced on the next load path; trigger it with a new key.
-  registry.get_or_load("d", [] { return make_session(6); });
-
-  EXPECT_EQ(registry.get("b"), nullptr);  // oldest: evicted first
-  EXPECT_NE(registry.get("d"), nullptr);  // the just-loaded key survives
-  EXPECT_GE(registry.stats().evictions, 1u);
-
-  // MRU-first stats order; the front entry is the most recent touch.
-  const SessionRegistryStats stats = registry.stats();
-  ASSERT_FALSE(stats.sessions.empty());
-  EXPECT_EQ(stats.sessions.front().key, "d");
-}
-
-TEST(SessionRegistry, OversizedModelStillLoadsUnderATinyBudget) {
-  // The budget is a target, not an admission check: the session being
-  // loaded is never its own eviction victim, so one model larger than the
-  // whole budget still becomes resident.
-  SessionRegistry registry(/*byte_budget=*/1);
-  const auto s = registry.get_or_load("huge", [] { return make_session(7); });
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_GT(registry.resident_bytes(), registry.byte_budget());
-}
-
-TEST(SessionRegistry, EvictedSessionsStayUsableThroughLiveReferences) {
-  SessionRegistry registry;
-  const auto held = registry.get_or_load("held", [] { return make_session(8); });
-  Rng rng(9);
-  const MeanVar input = MeanVar::point(random_matrix(2, 4, rng));
-  MeanVar out;
-  held->propagate(input, out);
-  const MeanVar reference = out;
-
-  ASSERT_TRUE(registry.evict("held"));
-  // The shared_ptr keeps the session alive; eviction only drops residency.
-  held->propagate(input, out);
-  for (std::size_t j = 0; j < out.dim(); ++j)
-    EXPECT_EQ(out.mean(0, j), reference.mean(0, j));
 }
 
 }  // namespace

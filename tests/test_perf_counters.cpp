@@ -34,7 +34,7 @@ namespace {
 /// Something for a counter region to count.
 std::uint64_t burn() {
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 200000; ++i) sink += i * i;
+  for (std::uint64_t i = 0; i < 200000; ++i) sink = sink + i * i;
   return sink;
 }
 
@@ -181,7 +181,9 @@ TEST_F(PerfCountersTest, RegionsAttributeToTheDispatchedBackend) {
   // Counter totals are valid exactly when the PMU is; the region COUNT
   // above is what keeps attribution testable on denied machines.
   EXPECT_EQ(table.total(scalar).valid, counters_live());
-  if (counters_live()) EXPECT_GT(table.total(scalar).cycles, 0u);
+  if (counters_live()) {
+    EXPECT_GT(table.total(scalar).cycles, 0u);
+  }
 
   table.reset();
   for (std::size_t b = 0; b < obs::KernelPerfTable::kBackends; ++b)

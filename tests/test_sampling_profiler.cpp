@@ -29,7 +29,7 @@ void busy_for_ms(int ms) {
   const auto until = Clock::now() + std::chrono::milliseconds(ms);
   volatile std::uint64_t sink = 0;
   while (Clock::now() < until) {
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   }
 }
 
