@@ -343,11 +343,10 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       moment_activation_inplace(f, out);
       benchmark::DoNotOptimize(out.mean.data());
     });
-    // The fused rows own their scratch, output and surrogate pack, as a
-    // session does (the i8 row adds the quantized-row blocks).
+    // The fused rows own their scratch and output, as a session does (the
+    // i8 row adds the quantized-row blocks).
     const std::size_t batch = inputf.batch();
     const std::size_t kdim = inputf.dim();
-    const PwlPack pack = pack_pwl(f);
     std::vector<float> fsm(batch * kdim), fvi(batch * kdim);
     std::vector<float> sm_scale(batch), vi_scale(batch);
     std::vector<std::int8_t> q_sm(batch * kdim), q_vi(batch * kdim);
@@ -362,8 +361,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     record("moment_act_fused_b64_f32", [&] {
       moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
                              kdim, wf.data(), bf.data(), wf.cols(), 0.9, f,
-                             pack.view(), scratch, fused.mean.data(),
-                             fused.var.data());
+                             scratch, fused.mean.data(), fused.var.data());
       benchmark::DoNotOptimize(fused.mean.data());
     });
     DenseLayer dense;
@@ -373,8 +371,8 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const QuantizedDenseLayer qdense = quantize_dense_layer(dense);
     record("moment_act_fused_b64_i8", [&] {
       moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
-                             kdim, qdense, 0.9, f, pack.view(), scratch,
-                             fused.mean.data(), fused.var.data());
+                             kdim, qdense, 0.9, f, scratch, fused.mean.data(),
+                             fused.var.data());
       benchmark::DoNotOptimize(fused.mean.data());
     });
   }
@@ -412,17 +410,15 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     // the f32 path was before fusion). bench_compare holds the i8
     // propagate's speedup over THIS row, so the gate measures what
     // quantization buys against the path it replaces, not against the
-    // already-fused f32 kernels. Buffers and surrogate packs are hoisted
-    // so this row also meets the apd_propagate_ zero-alloc gate.
+    // already-fused f32 kernels. Buffers are hoisted so this row also
+    // meets the apd_propagate_ zero-alloc gate.
     std::vector<MatrixF> wf, w2f, bf;
-    std::vector<PwlPack> packs;
     std::size_t max_dim = mlp.input_dim();
     for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
       const DenseLayer& layer = mlp.layer(l);
       wf.push_back(to_f32(layer.weight));
       w2f.push_back(to_f32(square(layer.weight)));
       bf.push_back(to_f32(layer.bias));
-      packs.push_back(pack_pwl(apd.surrogate(l)));
       max_dim = std::max(max_dim, layer.out_dim());
     }
     const MeanVarF inputf = to_f32(input);
@@ -443,7 +439,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
         moment_linear_into(cm, cv, batch, layer.in_dim(), wf[l].data(),
                            w2f[l].data(), bf[l].data(), layer.out_dim(),
                            layer.keep_prob, smb.data(), vib.data(), om, ov);
-        moment_activation_batch(apd.surrogate(l), packs[l].view(), om, ov,
+        moment_activation_batch(apd.surrogate(l), om, ov,
                                 batch * layer.out_dim());
         cm = om;
         cv = ov;

@@ -107,9 +107,9 @@ int main(int argc, char** argv) {
       health.calibration().observe(p.mean(0, 0), p.var(0, 0), truth);
     }
     const auto cov = health.calibration().coverage();
-    // p50 is reconstructed from fixed buckets (0-100 ms, 32 of them), so
-    // for sub-millisecond requests the exact streamed mean is the sharper
-    // number.
+    // p50 is reconstructed from the histogram's 32 log-spaced buckets
+    // (1 us-100 ms, ~1.43x wide each); the exact streamed mean sits next
+    // to it.
     const LatencyHistogram& latency =
         MetricsRegistry::instance().histogram("request.latency_ms");
     std::cout << "\nStreaming health over 200 held-out inferences:"

@@ -93,13 +93,6 @@ void InferenceSession::build(const Mlp& mlp) {
       break;
   }
 
-  // pack_pwl hoisted to load time: the fused drivers take the prebuilt
-  // view, so per-call packing (three vector allocations) disappears.
-  if (config_.precision != Precision::kF64) {
-    pwl_packs_.reserve(layers);
-    for (const PiecewiseLinear& f : surrogates_) pwl_packs_.push_back(pack_pwl(f));
-  }
-
   weight_bytes_ = 0;
   for (const Matrix& m : w64_) weight_bytes_ += matrix_bytes(m.size(), 8);
   for (const Matrix& m : b64_) weight_bytes_ += matrix_bytes(m.size(), 8);
@@ -317,8 +310,7 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
                     ",\"act\":\"" + act_names_[l] + "\"");
     moment_linear_act_into(cm, cv, batch, dims_[l], w32_[l].data(),
                            b32_[l].data(), dims_[l + 1], keep_probs_[l],
-                           surrogates_[l], pwl_packs_[l].view(), scratch, om,
-                           ov);
+                           surrogates_[l], scratch, om, ov);
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate_f32 layer output");
     cm = om;
@@ -366,13 +358,11 @@ void InferenceSession::propagate_i8(const MeanVar& input, MeanVar& out,
                     ",\"act\":\"" + act_names_[l] + "\"");
     if (l + 1 < L) {
       moment_linear_act_into(cm, cv, batch, dims_[l], qlayers_[l],
-                             keep_probs_[l], surrogates_[l],
-                             pwl_packs_[l].view(), scratch, om, ov);
+                             keep_probs_[l], surrogates_[l], scratch, om, ov);
     } else {
       moment_linear_act_into(cm, cv, batch, dims_[l], final_w32_.data(),
                              final_b32_.data(), dims_[l + 1], keep_probs_[l],
-                             surrogates_[l], pwl_packs_[l].view(), scratch,
-                             om, ov);
+                             surrogates_[l], scratch, om, ov);
     }
     APDS_MOMENT_CONTRACT_BUF(om, ov, batch * dims_[l + 1], dims_[l + 1],
                              "session.propagate_i8 layer output");

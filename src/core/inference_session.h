@@ -5,7 +5,8 @@
 // configured precision (f64 W, f32 narrowed W — the dispatched f64 and f32
 // moment tiles square W as they read it — or i8 symmetric per-channel
 // quantized hidden layers + f32 moment head), resolves the PWL activation
-// surrogates and their kernel packing, and derives the arena layout —
+// surrogates (each carries its own kernel view), and derives the arena
+// layout —
 // every intermediate buffer's shape (pre-activation moments, fused-tile
 // spill, activation outputs, quantized activation rows) becomes an offset
 // into one contiguous per-(session, thread) arena, with ping-pong parity
@@ -144,7 +145,6 @@ class InferenceSession {
   std::vector<double> keep_probs_;
   std::vector<std::string> act_names_;  ///< activation_name per layer
   std::vector<PiecewiseLinear> surrogates_;
-  std::vector<PwlPack> pwl_packs_;  ///< pack_pwl hoisted to load time
 
   // Exactly one precision's pack is populated (sessions are per-precision;
   // an estimator that serves several precisions holds several sessions).

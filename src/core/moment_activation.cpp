@@ -27,97 +27,39 @@ ScalarMoments deterministic_moments(const PiecewiseLinear& f, double mu,
   return out;
 }
 
-// Tile width of the piece-major batch kernel: small enough that the
-// per-boundary scratch stays in L1, large enough to amortize the piece
-// loop over contiguous spans.
-constexpr std::size_t kTile = 128;
-
-// Minimum elements per parallel chunk; one element costs ~P erf/exp pairs.
+// Minimum elements per parallel chunk; one element costs ~P phi/Phi pairs.
 constexpr std::size_t kActivationGrain = 256;
 
-/// Piece-major activation moments for up to kTile elements. Every interior
-/// boundary of the surrogate is shared by two adjacent pieces; evaluating
-/// boundaries once per tile (instead of twice, inside truncated_moments)
-/// halves the erf/exp count, and the boundary loops run over contiguous
-/// elements with 1/sigma hoisted, so they vectorize.
-void activation_moments_tile(const PiecewiseLinear& f, double* m, double* v,
-                             std::size_t n) {
-  double sigma[kTile], inv_sigma[kTile];
-  double ey[kTile], ey2[kTile];
-  // Boundary evaluations for the piece loop: previous (lo) and current (hi).
-  double lo_pdf[kTile], lo_cdf[kTile], lo_zpdf[kTile];
-  double hi_pdf[kTile], hi_cdf[kTile], hi_zpdf[kTile];
-  bool deterministic = false;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v[i] < kDeterministicVar) {
-      // Handled by the scalar fallback after the main pass; a zero
-      // inv_sigma keeps this lane's (discarded) arithmetic finite.
-      deterministic = true;
-      sigma[i] = 1.0;
-      inv_sigma[i] = 0.0;
-    } else {
-      sigma[i] = std::sqrt(v[i]);
-      inv_sigma[i] = 1.0 / sigma[i];
-    }
-    ey[i] = 0.0;
-    ey2[i] = 0.0;
-  }
-
-  const auto& pieces = f.pieces();
-  auto eval_boundary_span = [&](double x, double* pdf, double* cdf,
-                                double* zpdf) {
-    if (std::isinf(x)) {
-      const double cdf_value = x > 0.0 ? 1.0 : 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        pdf[i] = 0.0;
-        cdf[i] = cdf_value;
-        zpdf[i] = 0.0;  // inf * 0 -> 0 convention
+/// The batch driver of both precisions. The dispatched tile (`tile`, one of
+/// the KernelOps act_tile_* entries) does the math; this keeps what the
+/// kernel layer must not know about: the thread-pool partitioning, the
+/// PiecewiseLinear type, and the f64 scalar fixup of the lanes the tile
+/// flags as near-deterministic (var < det_var).
+template <typename T>
+void activation_batch(const PiecewiseLinear& f, T* mean, T* var,
+                      std::size_t n,
+                      bool (*tile)(const PwlView&, T*, T*, std::size_t, T,
+                                   unsigned char*),
+                      T det_var) {
+  for (std::size_t i = 0; i < n; ++i)
+    APDS_CHECK_MSG(var[i] >= T(0), "moment_activation: negative variance");
+  const PwlView view = f.view();
+  parallel_for(0, n, kActivationGrain, [&](std::size_t lo, std::size_t hi) {
+    unsigned char det[kKernelMomentTile];
+    for (std::size_t t = lo; t < hi; t += kKernelMomentTile) {
+      const std::size_t len = std::min(kKernelMomentTile, hi - t);
+      if (!tile(view, mean + t, var + t, len, det_var, det)) continue;
+      // Near-deterministic lanes still hold their input moments.
+      for (std::size_t i = 0; i < len; ++i) {
+        if (!det[i]) continue;
+        const ScalarMoments sm =
+            activation_moments(f, static_cast<double>(mean[t + i]),
+                               static_cast<double>(var[t + i]));
+        mean[t + i] = static_cast<T>(sm.mean);
+        var[t + i] = static_cast<T>(sm.var);
       }
-      return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const double z = (x - m[i]) * inv_sigma[i];
-      const double pdf_z = std_normal_pdf(z);
-      pdf[i] = pdf_z;
-      cdf[i] = std_normal_cdf(z);
-      zpdf[i] = z * pdf_z;
-    }
-  };
-
-  eval_boundary_span(pieces.front().lo, lo_pdf, lo_cdf, lo_zpdf);
-  for (const auto& p : pieces) {
-    eval_boundary_span(p.hi, hi_pdf, hi_cdf, hi_zpdf);
-    const double k = p.k;
-    const double c = p.c;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double mu = m[i];
-      const double s = sigma[i];
-      // Partial moments between the cached boundaries (paper's D/M/V).
-      const double mass = hi_cdf[i] - lo_cdf[i];
-      const double first = s * (lo_pdf[i] - hi_pdf[i]);
-      const double second = s * s * (mass + lo_zpdf[i] - hi_zpdf[i]);
-      // E[X 1] and E[X^2 1] from central partial moments.
-      const double ex1 = mu * mass + first;
-      const double ex2 = second + 2.0 * mu * first + mu * mu * mass;
-      ey[i] += k * ex1 + c * mass;
-      ey2[i] += k * k * ex2 + 2.0 * k * c * ex1 + c * c * mass;
-    }
-    std::copy(hi_pdf, hi_pdf + n, lo_pdf);
-    std::copy(hi_cdf, hi_cdf + n, lo_cdf);
-    std::copy(hi_zpdf, hi_zpdf + n, lo_zpdf);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (deterministic && v[i] < kDeterministicVar) {
-      const ScalarMoments sm = deterministic_moments(f, m[i], v[i]);
-      m[i] = sm.mean;
-      v[i] = sm.var;
-    } else {
-      m[i] = ey[i];
-      v[i] = std::max(0.0, ey2[i] - ey[i] * ey[i]);
-    }
-  }
+  });
 }
 
 }  // namespace
@@ -148,20 +90,25 @@ ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
     ey += p.k * ex1 + p.c * pm.mass;
     ey2 += p.k * p.k * ex2 + 2.0 * p.k * p.c * ex1 + p.c * p.c * pm.mass;
   }
+  // Clamp cancellation below zero, but let a NaN through (a non-finite
+  // mean or an infinite variance), as the batch tiles do.
+  const double vv = ey2 - ey * ey;
   ScalarMoments out;
   out.mean = ey;
-  out.var = std::max(0.0, ey2 - ey * ey);
+  out.var = vv < 0.0 ? 0.0 : vv;
   return out;
 }
 
 void moment_activation_batch(const PiecewiseLinear& f, double* mean,
                              double* var, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    APDS_CHECK_MSG(var[i] >= 0.0, "moment_activation: negative variance");
-  parallel_for(0, n, kActivationGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t t = lo; t < hi; t += kTile)
-      activation_moments_tile(f, mean + t, var + t, std::min(kTile, hi - t));
-  });
+  activation_batch(f, mean, var, n, kernel_ops().act_tile_f64,
+                   kDeterministicVar);
+}
+
+void moment_activation_batch(const PiecewiseLinear& f, float* mean,
+                             float* var, std::size_t n) {
+  activation_batch(f, mean, var, n, kernel_ops().act_tile_f32,
+                   kDeterministicVarF);
 }
 
 void moment_activation_inplace(const PiecewiseLinear& f, MeanVar& mv) {
@@ -178,21 +125,6 @@ void moment_activation_inplace(const PiecewiseLinear& f, MeanVarF& mv) {
 
 void moment_activation_inplace(const PiecewiseLinear& f, GaussianVec& g) {
   moment_activation_batch(f, g.mean.data(), g.var.data(), g.dim());
-}
-
-PwlPack pack_pwl(const PiecewiseLinear& f) {
-  PwlPack pack;
-  const auto& pieces = f.pieces();
-  pack.lo0 = pieces.front().lo;
-  pack.hi.reserve(pieces.size());
-  pack.k.reserve(pieces.size());
-  pack.c.reserve(pieces.size());
-  for (const auto& p : pieces) {
-    pack.hi.push_back(p.hi);
-    pack.k.push_back(static_cast<float>(p.k));
-    pack.c.push_back(static_cast<float>(p.c));
-  }
-  return pack;
 }
 
 }  // namespace apds

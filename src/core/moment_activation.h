@@ -34,43 +34,55 @@ inline constexpr double kDeterministicVar = 1e-18;
 /// more accurate than the closed form evaluated in single precision.
 inline constexpr float kDeterministicVarF = 1e-12f;
 
+/// The single-value closed form, evaluated with libm erfc/exp. It is the
+/// independent accuracy oracle of the batched paths below, and the fixup
+/// they use for near-deterministic lanes. Throws InvalidArgument on a
+/// negative or NaN variance. Non-finite inputs follow the batch paths'
+/// hostile-lane contract below: with var >= kDeterministicVar, a NaN or
+/// +-Inf mean, or a +Inf variance, gives a NaN variance.
 ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
                                  double var);
 
-/// The batched kernel behind both moment_activation_inplace overloads:
+/// The batched kernel behind the f64 moment_activation_inplace overloads
+/// and every f64 caller (InferenceSession, moment_conv1d, moment_rnn):
 /// overwrite (mean[i], var[i]), i in [0, n), with the activation moments.
 ///
 /// Elements are partitioned across the thread pool, and each worker walks
-/// its span in small tiles *piece-major*: per tile, every boundary of the
-/// surrogate is standardized and its erf/exp terms evaluated once in a
-/// tight loop over contiguous elements (1/sigma hoisted per element), then
+/// its span in kKernelMomentTile tiles through the runtime-dispatched
+/// act_tile_f64 (tensor/kernels/, scalar/AVX2/AVX-512 tiers of one shared
+/// body): per tile, every boundary of the surrogate is standardized and
+/// its phi/Phi evaluated once, branch-free and without libm (a Cody
+/// rational erfc sharing one polynomial exp(-z^2/2) with the pdf), then
 /// per-piece contributions are formed by differencing adjacent boundary
-/// evaluations. Each element's arithmetic is independent and identical to
-/// the scalar activation_moments path up to boundary-evaluation reuse, so
-/// results do not depend on the partition or thread count.
+/// evaluations. Lanes with var < kDeterministicVar are finished by
+/// activation_moments. Every element's arithmetic is independent of its
+/// neighbours, so results are bit-identical across thread counts within a
+/// tier; across tiers (FMA contraction) and against activation_moments
+/// they agree to ~1e-15 relative (docs/PERFORMANCE.md).
+///
+/// Hostile-lane contract, the same on every tier:
+///   * a negative or NaN variance anywhere throws InvalidArgument before
+///     any element is written;
+///   * otherwise nothing throws, and non-finite inputs come back
+///     non-finite. With a variance at or above kDeterministicVar, a NaN or
+///     +-Inf mean yields a NaN variance and a NaN mean (+-Inf for the
+///     identity surrogate), and a +Inf variance yields NaN for both. A
+///     near-deterministic lane takes the linearization (f(mu), k^2 var),
+///     so a non-finite mean stays non-finite and its variance finite;
+///   * zero and denormal variances take that linearization exactly. A huge
+///     finite variance (1e30) stays finite, but past ~1e20 the closed
+///     form's E[Y^2] - E[Y]^2 is dominated by rounding (in
+///     activation_moments too), so such an output variance is not
+///     meaningful.
 void moment_activation_batch(const PiecewiseLinear& f, double* mean,
                              double* var, std::size_t n);
 
-/// Single-precision fast path: same piece-major tile structure, but the
-/// tile kernel is resolved through the runtime CPU dispatcher
-/// (tensor/kernels/, scalar/AVX2/AVX-512 tiers of one shared body using
-/// the branch-free fast_math erf/exp) instead of being compiled once.
-/// Near-deterministic lanes (var below `kDeterministicVarF`) fall back to
-/// the f64 scalar activation_moments. Driver in moment_activation_f32.cpp.
+/// Single-precision fast path: the same driver over the dispatched
+/// act_tile_f32 (branch-free fast_math erf/exp in f32). Near-deterministic
+/// lanes (var below `kDeterministicVarF`) fall back to the f64 scalar
+/// activation_moments. Allocation-free.
 void moment_activation_batch(const PiecewiseLinear& f, float* mean,
                              float* var, std::size_t n);
-
-/// Same, with a caller-packed surrogate (`view` must be pack_pwl(f).view()).
-/// Allocation-free: hot callers (InferenceSession, the zero-alloc bench
-/// rows) hoist the pack to load time; `f` is still needed for the f64
-/// fixup of near-deterministic lanes.
-void moment_activation_batch(const PiecewiseLinear& f, const PwlView& view,
-                             float* mean, float* var, std::size_t n);
-
-/// Repack a surrogate into the kernel layer's PWL layout (f32 slopes and
-/// intercepts, f64 boundaries). Cheap (one small copy); hot callers that
-/// apply the same surrogate repeatedly may still cache the result.
-PwlPack pack_pwl(const PiecewiseLinear& f);
 
 /// Apply activation_moments elementwise across a batch, in place.
 void moment_activation_inplace(const PiecewiseLinear& f, MeanVar& mv);

@@ -39,12 +39,12 @@ void prep_inputs(const float* mu, const float* var, std::size_t count,
 /// pairs with fixed block boundaries, so the per-element arithmetic — and
 /// therefore the result — is independent of the thread count. The row
 /// blocking exists for weight reuse: the moment kernel streams each W
-/// slice once per block instead of once per batch row. The caller supplies
-/// the packed PWL view so a session can hoist pack_pwl to load time.
+/// slice once per block instead of once per batch row.
 template <typename MomentTileFn>
 void fused_tiles(float* out_mean, float* out_var, const PiecewiseLinear& f,
-                 const PwlView& view, const KernelOps& ops, std::size_t batch,
-                 std::size_t n, std::size_t kdim, MomentTileFn&& moment_tile) {
+                 const KernelOps& ops, std::size_t batch, std::size_t n,
+                 std::size_t kdim, MomentTileFn&& moment_tile) {
+  const PwlView view = f.view();
   const std::size_t tiles_per_row = (n + kTile - 1) / kTile;
   const std::size_t row_blocks = (batch + kRows - 1) / kRows;
   const std::size_t block_flops = 4 * kdim * kTile * kRows;
@@ -106,7 +106,7 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const float* weight, const float* bias,
                             std::size_t n, double keep_prob,
-                            const PiecewiseLinear& f, const PwlView& view,
+                            const PiecewiseLinear& f,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var) {
   APDS_TRACE_SCOPE("core.moment_linear_act");
@@ -115,7 +115,7 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
               scratch.vi, ops);
   const float* sm = scratch.sm;
   const float* vi = scratch.vi;
-  fused_tiles(out_mean, out_var, f, view, ops, batch, n, kdim,
+  fused_tiles(out_mean, out_var, f, ops, batch, n, kdim,
               [&](std::size_t r0, std::size_t r1, std::size_t j0,
                   std::size_t j1, float* tmean, float* tvar) {
                 ops.moment_tile_f32(sm, vi, weight, bias, kdim, n, r0, r1, j0,
@@ -129,7 +129,6 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const QuantizedDenseLayer& layer,
                             double keep_prob, const PiecewiseLinear& f,
-                            const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var) {
   APDS_TRACE_SCOPE("core.moment_linear_act_i8");
@@ -157,7 +156,7 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
   const float* wscale = layer.weight.scale.data();
   const float* wsqscale = layer.weight_sq.scale.data();
   const float* b = layer.bias.data();
-  fused_tiles(out_mean, out_var, f, view, ops, batch, n, kdim,
+  fused_tiles(out_mean, out_var, f, ops, batch, n, kdim,
               [&](std::size_t r0, std::size_t r1, std::size_t j0,
                   std::size_t j1, float* tmean, float* tvar) {
                 ops.moment_tile_i8(qsm, scratch.sm_scale, qvi,

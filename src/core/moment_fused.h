@@ -61,16 +61,15 @@ struct FusedScratchView {
 /// Fused f32 moment_linear -> activation on raw buffers: semantically
 /// moment_linear(...) followed by moment_activation_inplace(f, ...), minus
 /// the intermediate matrices (rounding differs within f32 tolerance; the
-/// variance term squares the f32 weight in-tile, fl32(fl32(w)^2)). `view`
-/// is the packed form of `f` (pack_pwl) so repeated callers hoist the
-/// packing; `f` itself is still consulted for the f64
-/// scalar fixup of near-deterministic lanes. No allocation, no shape
-/// checks.
+/// variance term squares the f32 weight in-tile, fl32(fl32(w)^2)). The
+/// activation tile reads `f` through f.view(); near-deterministic lanes
+/// are finished by the f64 scalar activation_moments. No allocation, no
+/// shape checks.
 void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const float* weight, const float* bias,
                             std::size_t n, double keep_prob,
-                            const PiecewiseLinear& f, const PwlView& view,
+                            const PiecewiseLinear& f,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
 
@@ -82,7 +81,6 @@ void moment_linear_act_into(const float* in_mean, const float* in_var,
                             std::size_t batch, std::size_t kdim,
                             const QuantizedDenseLayer& layer,
                             double keep_prob, const PiecewiseLinear& f,
-                            const PwlView& view,
                             const FusedScratchView& scratch, float* out_mean,
                             float* out_var);
 

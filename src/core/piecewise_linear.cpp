@@ -27,6 +27,14 @@ PiecewiseLinear::PiecewiseLinear(std::vector<LinearPiece> pieces)
                      "PiecewiseLinear: gap between pieces " << i << " and "
                                                             << i + 1);
   }
+  hi_.reserve(pieces_.size());
+  k_.reserve(pieces_.size());
+  c_.reserve(pieces_.size());
+  for (const LinearPiece& p : pieces_) {
+    hi_.push_back(p.hi);
+    k_.push_back(p.k);
+    c_.push_back(p.c);
+  }
 }
 
 PiecewiseLinear PiecewiseLinear::identity() {

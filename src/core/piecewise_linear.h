@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "nn/activation.h"
+#include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds {
 
@@ -75,6 +76,15 @@ class PiecewiseLinear {
   const LinearPiece& piece(std::size_t i) const { return pieces_[i]; }
   const std::vector<LinearPiece>& pieces() const { return pieces_; }
 
+  /// The surrogate in the dispatched kernels' layout: a view over
+  /// boundary/slope/intercept arrays built once at construction, valid
+  /// while this object lives. Allocation-free, so hot callers take it per
+  /// call.
+  PwlView view() const {
+    return {pieces_.front().lo, hi_.data(), k_.data(), c_.data(),
+            pieces_.size()};
+  }
+
   /// Evaluate the surrogate at x.
   double eval(double x) const;
 
@@ -84,6 +94,7 @@ class PiecewiseLinear {
 
  private:
   std::vector<LinearPiece> pieces_;
+  std::vector<double> hi_, k_, c_;  ///< pieces_ split per field (view())
 };
 
 }  // namespace apds

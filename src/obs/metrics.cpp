@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -13,14 +14,26 @@ namespace apds {
 
 LatencyHistogram::LatencyHistogram(double lo_ms, double hi_ms,
                                    std::size_t bins)
-    : lo_ms_(lo_ms), hi_ms_(hi_ms), bins_(bins), hist_(lo_ms, hi_ms, bins) {}
+    : lo_ms_(lo_ms),
+      hi_ms_(hi_ms),
+      bins_(bins),
+      hist_(coord(lo_ms), coord(hi_ms), bins) {
+  APDS_CHECK_MSG(lo_ms > 0.0,
+                 "LatencyHistogram: log-spaced buckets need lo_ms > 0, got "
+                     << lo_ms);
+}
+
+double LatencyHistogram::coord(double ms) const {
+  return std::log10(ms > lo_ms_ ? ms : lo_ms_);
+}
 
 std::size_t LatencyHistogram::bucket_index(double ms) const {
   // Same clamp-to-edge-buckets semantics Histogram::add applies.
-  if (ms <= lo_ms_) return 0;
+  if (!(ms > lo_ms_)) return 0;
   if (ms >= hi_ms_) return bins_ - 1;
-  const double width = (hi_ms_ - lo_ms_) / static_cast<double>(bins_);
-  const auto b = static_cast<std::size_t>((ms - lo_ms_) / width);
+  const double lo = coord(lo_ms_);
+  const double width = (coord(hi_ms_) - lo) / static_cast<double>(bins_);
+  const auto b = static_cast<std::size_t>((coord(ms) - lo) / width);
   return std::min(b, bins_ - 1);
 }
 
@@ -30,7 +43,7 @@ void LatencyHistogram::observe(double ms) {
 
 void LatencyHistogram::observe(double ms, std::uint64_t request_id) {
   MutexLock lock(&mu_);
-  hist_.add(ms);
+  hist_.add(coord(ms));
   stats_.add(ms);
   if (request_id != 0) {
     if (exemplars_.empty()) exemplars_.resize(bins_);
@@ -64,17 +77,20 @@ double LatencyHistogram::percentile(double p) const {
   const std::size_t total = hist_.total();
   if (total == 0) return 0.0;
   // Walk the buckets until the cumulative count crosses the target rank,
-  // then interpolate linearly inside that bucket.
+  // then interpolate linearly inside that bucket in log10(ms), i.e.
+  // geometrically in ms.
   const double rank = p * static_cast<double>(total);
+  const double lo = coord(lo_ms_);
   const double bin_width =
-      (hi_ms_ - lo_ms_) / static_cast<double>(hist_.bins());
+      (coord(hi_ms_) - lo) / static_cast<double>(hist_.bins());
   double cumulative = 0.0;
   double value = hi_ms_;
   for (std::size_t b = 0; b < hist_.bins(); ++b) {
     const double in_bin = static_cast<double>(hist_.count(b));
     if (cumulative + in_bin >= rank) {
       const double frac = in_bin > 0.0 ? (rank - cumulative) / in_bin : 0.0;
-      value = lo_ms_ + (static_cast<double>(b) + frac) * bin_width;
+      const double at = lo + (static_cast<double>(b) + frac) * bin_width;
+      value = std::pow(10.0, at);
       break;
     }
     cumulative += in_bin;
@@ -86,7 +102,7 @@ double LatencyHistogram::percentile(double p) const {
 
 void LatencyHistogram::reset() {
   MutexLock lock(&mu_);
-  hist_ = Histogram(lo_ms_, hi_ms_, bins_);
+  hist_ = Histogram(coord(lo_ms_), coord(hi_ms_), bins_);
   stats_ = RunningStats();
   exemplars_.clear();
 }

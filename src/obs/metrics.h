@@ -57,15 +57,21 @@ struct Exemplar {
 };
 
 /// Fixed-bucket latency histogram plus streaming mean/min/max, built on
-/// stats/histogram.h and stats/running_stats.h. Out-of-range observations
-/// clamp to the edge buckets (Histogram semantics), so the count is exact
-/// even when the range is misjudged. Thread-safe.
+/// stats/histogram.h and stats/running_stats.h. Buckets are log-spaced:
+/// equal widths in log10(ms) over [lo_ms, hi_ms) (edges
+/// lo * (hi/lo)^(b/bins), so lo_ms must be > 0), and percentiles
+/// interpolate geometrically within a bucket, so sub-millisecond and
+/// 100 ms latencies get the same relative resolution. Out-of-range
+/// observations (zero and NaN included) clamp to the edge buckets
+/// (Histogram semantics), so the count is exact even when the range is
+/// misjudged. Thread-safe.
 ///
 /// When an observation is made under an active RequestContext (directly or
 /// via the explicit overload), its bucket retains the request id + value as
 /// an exemplar; observations with no request attached cost nothing extra.
 class LatencyHistogram {
  public:
+  /// Throws InvalidArgument unless 0 < lo_ms < hi_ms and bins > 0.
   LatencyHistogram(double lo_ms, double hi_ms, std::size_t bins);
 
   /// Observe under the calling thread's current request context.
@@ -80,9 +86,10 @@ class LatencyHistogram {
   std::size_t count() const;
   /// Copies of the accumulated state (consistent snapshot under the lock).
   RunningStats stats() const;
+  /// Bucket counts; the Histogram's bins span log10(ms).
   Histogram buckets() const;
   /// Interpolated percentile (p in [0, 1]) reconstructed from the buckets:
-  /// linear within the bucket the rank falls into, clamped to the exact
+  /// geometric within the bucket the rank falls into, clamped to the exact
   /// streamed min/max so the edge quantiles stay honest even though the
   /// bucket grid is coarse. Returns 0.0 when no observations were made.
   double percentile(double p) const;
@@ -95,6 +102,8 @@ class LatencyHistogram {
   void reset();
 
  private:
+  /// log10(ms), with values at or below lo_ms (and NaN) pinned to lo_ms.
+  double coord(double ms) const;
   std::size_t bucket_index(double ms) const;  ///< clamped, mirrors Histogram
 
   double lo_ms_;
@@ -118,9 +127,12 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Range/bins apply on first creation only; later lookups by the same
-  /// name return the existing histogram.
-  LatencyHistogram& histogram(const std::string& name, double lo_ms = 0.0,
+  /// The default layout is the request-latency one: 32 log-spaced buckets
+  /// over 1 us-100 ms (~1.43x per bucket), so a sub-millisecond p50 is
+  /// resolved instead of clamped into the first bucket. Range/bins apply
+  /// on first creation only; later lookups by the same name return the
+  /// existing histogram.
+  LatencyHistogram& histogram(const std::string& name, double lo_ms = 1e-3,
                               double hi_ms = 100.0, std::size_t bins = 32);
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}}. Keys within each

@@ -1,8 +1,8 @@
 // Runtime CPU-feature kernel dispatch (MLAS-style).
 //
 // The hot inference kernels exist in three builds of one shared body
-// (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment
-// tile): a baseline TU compiled with the project defaults (SSE2 on
+// (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment and
+// activation tiles): a baseline TU compiled with the project defaults (SSE2 on
 // x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL — BW is
 // what gives the i8 kernels 512-bit vpmaddwd), each with its own -m flags
 // (see src/tensor/CMakeLists.txt). At startup the dispatcher probes CPUID
@@ -17,21 +17,23 @@
 // Forcing a backend the CPU cannot execute logs a warning and clamps to
 // the best supported one — an override must never SIGILL a device.
 //
-// The f32 fast path, the i8 quantized path and the f64 moment tile
-// (kernel_body_f64.inl) route through this table; the rest of the f64
-// path (nn, training, MCDrop, the f64 activation) keeps default flags.
-// Every dispatched kernel keeps the per-output-element accumulation order
-// of the serial loops, so results are bit-identical across thread counts
-// *within* a backend (across backends they agree to documented tolerances
-// — FMA contraction and vector shuffles change rounding, not math). The
-// scalar tier has no FMA, so its f64 tile is bit-identical to the plain
-// f64 GEMM against W and square(W).
+// The f32 fast path, the i8 quantized path and the f64 moment pass (its
+// dropout-linear tile and its PWL activation tile, kernel_body_f64.inl)
+// route through this table; the rest of the f64 path (nn, training,
+// MCDrop) keeps default flags. Every dispatched kernel keeps the
+// per-output-element accumulation order of the serial loops, so results
+// are bit-identical across thread counts *within* a backend (across
+// backends they agree to documented tolerances — FMA contraction and
+// vector shuffles change rounding, not math). The scalar tier has no FMA,
+// so its f64 moment tile is bit-identical to the plain f64 GEMM against W
+// and square(W). The f64 activation tile replaces libm erfc/exp with a
+// branch-free rational/polynomial pair on every tier, scalar included;
+// it stays within ~2e-16 of libm per boundary (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace apds {
 
@@ -80,27 +82,16 @@ inline constexpr std::size_t kKernelMomentTile = 128;
 inline constexpr std::size_t kKernelMomentRows = 16;
 
 /// Non-owning view of a piece-wise linear surrogate in kernel layout:
-/// per-piece upper boundaries (double, last may be +inf) plus f32 slopes
-/// and intercepts. Built from core's PiecewiseLinear via pack_pwl() — the
-/// kernel layer deliberately knows nothing about core types.
+/// per-piece upper boundaries (last may be +inf), slopes and intercepts as
+/// separate f64 arrays. PiecewiseLinear::view() hands one out over arrays
+/// the surrogate owns — the kernel layer deliberately knows nothing about
+/// core types. The f32 tile narrows k and c once per piece.
 struct PwlView {
   double lo0 = 0.0;            ///< lower bound of piece 0 (may be -inf)
   const double* hi = nullptr;  ///< [pieces] upper boundaries
-  const float* k = nullptr;    ///< [pieces] slopes
-  const float* c = nullptr;    ///< [pieces] intercepts
+  const double* k = nullptr;   ///< [pieces] slopes
+  const double* c = nullptr;   ///< [pieces] intercepts
   std::size_t pieces = 0;
-};
-
-/// Owning storage behind a PwlView.
-struct PwlPack {
-  double lo0 = 0.0;
-  std::vector<double> hi;
-  std::vector<float> k;
-  std::vector<float> c;
-
-  PwlView view() const {
-    return {lo0, hi.data(), k.data(), c.data(), hi.size()};
-  }
 };
 
 /// The function-pointer table one ISA tier exports. All kernels take raw
@@ -183,6 +174,16 @@ struct KernelOps {
                          const float* bias, std::size_t kdim, std::size_t n,
                          std::size_t r0, std::size_t r1, std::size_t j0,
                          std::size_t j1, float* tmean, float* tvar);
+
+  /// f64 twin of act_tile_f32: the same piece-major boundary sharing and
+  /// near-deterministic contract (lanes with v < det_threshold are left
+  /// holding their input moments and flagged in det[] for the caller's
+  /// scalar activation_moments fixup; det is written only when the call
+  /// returns true). Each boundary's phi/Phi comes from one branch-free
+  /// polynomial exp(-z^2/2) and a Cody rational erfc, with |z| clamped to
+  /// 26 so no lane goes subnormal; no libm call. NaN inputs propagate.
+  bool (*act_tile_f64)(const PwlView& f, double* m, double* v, std::size_t n,
+                       double det_threshold, unsigned char* det);
 
   /// f64 twin of moment_tile_f32 (same blocking, jam and in-tile W∘W), but
   /// the block lands straight in the caller's output rows instead of a

@@ -78,7 +78,7 @@ TEST(ApdsLint, EveryRuleFiresExactlyOnceOnItsFixture) {
       {"pow-square", "src/bad_pow_square.cpp"},
       {"naked-new", "src/bad_naked_new.cpp"},
       {"raw-io", "src/bad_raw_io.cpp"},
-      {"f32-double-literal", "src/core/moment_activation_f32.cpp"},
+      {"f32-double-literal", "src/tensor/kernels/kernel_body.inl"},
       {"f32-libm-double", "src/stats/fast_math.cpp"},
       {"trapping-math", "src/CMakeLists.txt"},
       {"kernel-isa-flags", "src/kernels/CMakeLists.txt"},

@@ -176,8 +176,10 @@ TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
 
 TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {
   MetricsRegistry::instance().reset();
-  auto& hist =
-      MetricsRegistry::instance().histogram("exemplar.test_ms", 0.0, 100.0, 10);
+  // The request-latency layout: 32 log-spaced buckets over 1 us-100 ms,
+  // log10(ms) + 3 in steps of 5/32, so 5 ms lands in bucket 23 and 95 ms in
+  // bucket 31.
+  auto& hist = MetricsRegistry::instance().histogram("exemplar.test_ms");
   hist.observe(5.0, 42);
   hist.observe(95.0, 43);
 
@@ -200,10 +202,10 @@ TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {
   const std::size_t begin = json.find("\"exemplars\":[", at);
   ASSERT_NE(begin, std::string::npos) << json;
   const std::string listed = json.substr(begin, json.find(']', begin) - begin);
-  EXPECT_NE(listed.find("{\"bucket\":0,\"request_id\":42,\"value_ms\":5}"),
+  EXPECT_NE(listed.find("{\"bucket\":23,\"request_id\":42,\"value_ms\":5}"),
             std::string::npos)
       << json;
-  EXPECT_NE(listed.find("{\"bucket\":9,\"request_id\":43,\"value_ms\":95}"),
+  EXPECT_NE(listed.find("{\"bucket\":31,\"request_id\":43,\"value_ms\":95}"),
             std::string::npos)
       << json;
 }

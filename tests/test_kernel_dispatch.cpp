@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -155,6 +156,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.act_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_i8, nullptr);
+    EXPECT_NE(ops.act_tile_f64, nullptr);
     EXPECT_NE(ops.moment_tile_f64, nullptr);
   }
 }
@@ -229,7 +231,7 @@ TEST(KernelAgreement, ElementwiseKernelsMatchScalar) {
 TEST(KernelAgreement, ActivationTileMatchesScalar) {
   Rng rng(44);
   const auto f = PiecewiseLinear::fit_tanh(7);
-  const PwlPack pack = pack_pwl(f);
+  const PwlView view = f.view();
   const std::size_t n = kKernelMomentTile;
   MatrixF mean = random_matrix_f32(1, n, rng);
   MatrixF var = random_matrix_f32(1, n, rng);
@@ -241,7 +243,7 @@ TEST(KernelAgreement, ActivationTileMatchesScalar) {
   MatrixF ref_m = mean, ref_v = var;
   std::vector<unsigned char> det(n, 0);
   const bool ref_det = kernel_ops(KernelBackend::kScalar)
-                           .act_tile_f32(pack.view(), ref_m.data(),
+                           .act_tile_f32(view, ref_m.data(),
                                          ref_v.data(), n, kDeterministicVarF,
                                          det.data());
   EXPECT_FALSE(ref_det);  // all variances are safely above the threshold
@@ -249,7 +251,7 @@ TEST(KernelAgreement, ActivationTileMatchesScalar) {
     MatrixF m = mean, v = var;
     std::vector<unsigned char> d(n, 0);
     const bool has_det = kernel_ops(back).act_tile_f32(
-        pack.view(), m.data(), v.data(), n, kDeterministicVarF, d.data());
+        view, m.data(), v.data(), n, kDeterministicVarF, d.data());
     EXPECT_EQ(has_det, ref_det) << kernel_backend_name(back);
     EXPECT_LE(max_scaled_diff(ref_m, m), 1e-4f) << kernel_backend_name(back);
     EXPECT_LE(max_scaled_diff(ref_v, v), 1e-4f) << kernel_backend_name(back);
@@ -259,14 +261,14 @@ TEST(KernelAgreement, ActivationTileMatchesScalar) {
 
 TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
   const auto f = PiecewiseLinear::fit_tanh(7);
-  const PwlPack pack = pack_pwl(f);
+  const PwlView view = f.view();
   for (const KernelBackend back : supported_backends()) {
     // One mixed tile: lane 1 deterministic, the rest stochastic.
     float m[4] = {0.3f, -1.2f, 0.8f, 2.0f};
     float v[4] = {0.5f, 0.0f, 0.25f, 1.0f};
     const float m_in1 = m[1], v_in1 = v[1];
     unsigned char det[4] = {9, 9, 9, 9};
-    EXPECT_TRUE(kernel_ops(back).act_tile_f32(pack.view(), m, v, 4,
+    EXPECT_TRUE(kernel_ops(back).act_tile_f32(view, m, v, 4,
                                               kDeterministicVarF, det))
         << kernel_backend_name(back);
     EXPECT_EQ(det[1], 1);
@@ -281,9 +283,73 @@ TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
     float m2[3] = {0.1f, -0.5f, 1.0f};
     float v2[3] = {0.0f, 0.0f, 0.0f};
     unsigned char det2[3] = {0, 0, 0};
-    EXPECT_TRUE(kernel_ops(back).act_tile_f32(pack.view(), m2, v2, 3,
+    EXPECT_TRUE(kernel_ops(back).act_tile_f32(view, m2, v2, 3,
                                               kDeterministicVarF, det2));
     for (const unsigned char d : det2) EXPECT_EQ(d, 1);
+  }
+}
+
+// The f64 activation tile replaces libm erfc/exp with a Cody rational and
+// a polynomial exp, on every tier including scalar, so its oracle is the
+// libm single-value activation_moments. Grid: mu in [-8, 8] x var in
+// [1e-12, 1e4] (log-spaced), fed through moment_activation_batch in calls
+// of n = 1, 127, 128 and 300 lanes (one lane, a partial tile, a full tile,
+// several tiles). Bound: 1e-12 scaled by max(1, mu^2 + var), as
+// F64PropagateMatchesScalarBackend uses. Pool widths 1 and 4 must agree
+// bit for bit.
+TEST(KernelAgreement, ActTileF64MatchesLibmReference) {
+  struct Cleanup {
+    ~Cleanup() {
+      clear_global_kernel_backend();
+      set_global_threads(0);
+    }
+  } cleanup;
+  std::vector<double> grid_mu, grid_var;
+  for (int a = 0; a <= 32; ++a)
+    for (int b = 0; b <= 16; ++b) {
+      grid_mu.push_back(-8.0 + 0.5 * a);
+      grid_var.push_back(std::pow(10.0, -12.0 + b));
+    }
+  const std::size_t total = grid_mu.size();
+  for (const Activation act :
+       {Activation::kRelu, Activation::kTanh, Activation::kSigmoid}) {
+    SCOPED_TRACE(activation_name(act));
+    const PiecewiseLinear f = PiecewiseLinear::for_activation(act, 7);
+    for (const KernelBackend back : supported_backends()) {
+      SCOPED_TRACE(kernel_backend_name(back));
+      set_global_kernel_backend(back);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{127},
+                                  std::size_t{128}, std::size_t{300}}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n);
+        double worst = 0.0;
+        for (std::size_t t = 0; t < total; t += n) {
+          const std::size_t len = std::min(n, total - t);
+          std::vector<double> m1(grid_mu.begin() + t,
+                                 grid_mu.begin() + t + len);
+          std::vector<double> v1(grid_var.begin() + t,
+                                 grid_var.begin() + t + len);
+          std::vector<double> m4 = m1, v4 = v1;
+          set_global_threads(1);
+          moment_activation_batch(f, m1.data(), v1.data(), len);
+          set_global_threads(4);
+          moment_activation_batch(f, m4.data(), v4.data(), len);
+          ASSERT_EQ(std::memcmp(m1.data(), m4.data(), len * sizeof(double)),
+                    0);
+          ASSERT_EQ(std::memcmp(v1.data(), v4.data(), len * sizeof(double)),
+                    0);
+          for (std::size_t i = 0; i < len; ++i) {
+            const double mu = grid_mu[t + i];
+            const double var = grid_var[t + i];
+            const ScalarMoments want = activation_moments(f, mu, var);
+            const double scale = std::max(1.0, mu * mu + var);
+            worst = std::max(worst, std::fabs(m1[i] - want.mean) / scale);
+            worst = std::max(worst, std::fabs(v1[i] - want.var) / scale);
+            EXPECT_GE(v1[i], 0.0) << "mu=" << mu << " var=" << var;
+          }
+        }
+        EXPECT_LE(worst, 1e-12);
+      }
+    }
   }
 }
 

@@ -5,10 +5,14 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/gaussian.h"
 #include "stats/running_stats.h"
+#include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds {
 namespace {
@@ -120,6 +124,111 @@ TEST(MomentActivation, GaussianVecInPlaceMatchesScalar) {
         activation_moments(tanh7, orig.mean[i], orig.var[i]);
     EXPECT_NEAR(g.mean[i], m.mean, 1e-14);
     EXPECT_NEAR(g.var[i], m.var, 1e-14);
+  }
+}
+
+// Hostile lanes through the f64 batch path (the contract in
+// moment_activation.h), at every supported kernel tier. One tile mixes
+// them with ordinary lanes, so a bad lane must not leak into its
+// neighbours either. Every tier must give the same outcome: the same
+// NaN/Inf pattern, exact equality on the near-deterministic lanes (the
+// scalar fixup), agreement with the libm oracle on the finite ones.
+TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
+  struct Cleanup {
+    ~Cleanup() { clear_global_kernel_backend(); }
+  } cleanup;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  struct Lane {
+    double mu, var;
+  };
+  const std::vector<Lane> lanes = {
+      {0.3, 0.7},     {nan, 1.0},    {inf, 1.0},      {-inf, 1.0},
+      {0.4, inf},     {0.5, 1e30},   {-0.2, 1e-310},  {0.6, denorm},
+      {-1.1, 0.0},    {2.0, 0.0},    {nan, 0.0},      {inf, 0.0},
+      {-inf, 0.0},    {-2.5, 4.0},   {8.0, 1e-4},     {0.0, 1e-12},
+  };
+  std::vector<KernelBackend> tiers;
+  for (const KernelBackend b :
+       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512})
+    if (kernel_backend_supported(b)) tiers.push_back(b);
+
+  for (const Activation act : {Activation::kIdentity, Activation::kRelu,
+                               Activation::kTanh, Activation::kSigmoid}) {
+    SCOPED_TRACE(activation_name(act));
+    const PiecewiseLinear f = PiecewiseLinear::for_activation(act, 7);
+    std::vector<double> ref_m, ref_v;
+    for (const KernelBackend back : tiers) {
+      SCOPED_TRACE(kernel_backend_name(back));
+      set_global_kernel_backend(back);
+      std::vector<double> m, v;
+      for (const Lane& l : lanes) {
+        m.push_back(l.mu);
+        v.push_back(l.var);
+      }
+      moment_activation_batch(f, m.data(), v.data(), m.size());
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const Lane& l = lanes[i];
+        SCOPED_TRACE(::testing::Message()
+                     << "lane " << i << " mu=" << l.mu << " var=" << l.var);
+        const bool near_det = l.var < kDeterministicVar;
+        if (std::isnan(l.var) || std::isinf(l.var) || !std::isfinite(l.mu)) {
+          // A non-finite input never comes back finite: with a stochastic
+          // variance the output variance is NaN; a near-deterministic lane
+          // keeps the linearization's finite k^2 var.
+          EXPECT_FALSE(std::isfinite(m[i]));
+          if (near_det) {
+            EXPECT_TRUE(std::isfinite(v[i]));
+          } else {
+            EXPECT_TRUE(std::isnan(v[i]));
+            // The libm oracle follows the same contract.
+            const ScalarMoments want = activation_moments(f, l.mu, l.var);
+            EXPECT_FALSE(std::isfinite(want.mean));
+            EXPECT_TRUE(std::isnan(want.var));
+          }
+        } else if (near_det) {
+          // Zero and denormal variances: the linearization, exactly.
+          const ScalarMoments want = activation_moments(f, l.mu, l.var);
+          EXPECT_EQ(m[i], want.mean);
+          EXPECT_EQ(v[i], want.var);
+        } else {
+          const ScalarMoments want = activation_moments(f, l.mu, l.var);
+          const double scale = std::max(1.0, l.mu * l.mu + l.var);
+          EXPECT_TRUE(std::isfinite(m[i]));
+          EXPECT_TRUE(std::isfinite(v[i]));
+          EXPECT_GE(v[i], 0.0);
+          EXPECT_LE(std::fabs(m[i] - want.mean) / scale, 1e-12);
+          EXPECT_LE(std::fabs(v[i] - want.var) / scale, 1e-12);
+        }
+      }
+      if (ref_m.empty()) {
+        ref_m = m;
+        ref_v = v;
+        continue;
+      }
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        EXPECT_EQ(std::isnan(m[i]), std::isnan(ref_m[i])) << "lane " << i;
+        EXPECT_EQ(std::isnan(v[i]), std::isnan(ref_v[i])) << "lane " << i;
+        EXPECT_EQ(std::isinf(m[i]), std::isinf(ref_m[i])) << "lane " << i;
+        EXPECT_EQ(std::isinf(v[i]), std::isinf(ref_v[i])) << "lane " << i;
+        if (lanes[i].var < kDeterministicVar && std::isfinite(m[i])) {
+          EXPECT_EQ(m[i], ref_m[i]) << "lane " << i;
+          EXPECT_EQ(v[i], ref_v[i]) << "lane " << i;
+        }
+      }
+    }
+
+    // Negative and NaN variances are typed errors, raised before any lane
+    // is written.
+    for (const double bad : {-1.0, -denorm, nan}) {
+      std::vector<double> m = {0.1, 0.2, 0.3};
+      std::vector<double> v = {1.0, bad, 1.0};
+      EXPECT_THROW(moment_activation_batch(f, m.data(), v.data(), 3),
+                   InvalidArgument);
+      EXPECT_EQ(m[0], 0.1);
+      EXPECT_EQ(v[0], 1.0);
+    }
   }
 }
 

@@ -37,9 +37,9 @@
 //                     code logs through log_line so ctest output stays
 //                     parseable and levels apply.
 //   f32-double-literal  an f-suffix-less floating literal inside the
-//                     f32-only TUs (core/moment_activation_f32.cpp,
-//                     stats/fast_math.{h,cpp}, the runtime-dispatched
-//                     kernel TUs under tensor/kernels/). A double literal
+//                     f32-only TUs (stats/fast_math.{h,cpp}, the
+//                     runtime-dispatched kernel TUs under
+//                     tensor/kernels/). A double literal
 //                     silently promotes the whole expression and
 //                     de-vectorizes the SIMD fast path.
 //   f32-libm-double   std::exp/std::erf/... (double libm transcendentals)
@@ -381,15 +381,14 @@ bool is_cmake_file(const std::string& rel) {
   return has_suffix(rel, "CMakeLists.txt") || has_suffix(rel, ".cmake");
 }
 
-/// The TUs that must stay free of double contamination: the f32 SIMD
-/// activation path plus the runtime-dispatched kernel tiers (shared f32/i8
+/// The TUs that must stay free of double contamination: the fast_math
+/// approximations plus the runtime-dispatched kernel tiers (shared f32/i8
 /// body + per-ISA TUs). The f64 moment tile's body
 /// (kernels/kernel_body_f64.inl) sits outside the set on purpose: double
 /// is its working type, and keeping it in its own file is what lets
 /// kernel_body.inl stay double-free while the tiers still dispatch it.
 bool is_f32_tu(const std::string& rel) {
-  return has_suffix(rel, "src/core/moment_activation_f32.cpp") ||
-         has_suffix(rel, "src/stats/fast_math.cpp") ||
+  return has_suffix(rel, "src/stats/fast_math.cpp") ||
          has_suffix(rel, "src/stats/fast_math.h") ||
          has_suffix(rel, "src/stats/fast_math_body.inl") ||
          has_suffix(rel, "src/tensor/kernels/kernel_body.inl") ||
@@ -1278,7 +1277,7 @@ void collect_alloc_sites(const std::string& code, std::size_t begin,
   // (`MeanVar out;`) is free — default construction allocates nothing —
   // but construction with arguments or assignment does.
   static const std::regex container_re(
-      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|PwlPack|QuantizedDenseLayer)\b)");
+      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|QuantizedDenseLayer)\b)");
   for (auto it = std::regex_iterator(first, last, container_re);
        it != std::regex_iterator<std::string::const_iterator>(); ++it) {
     const std::size_t at = begin + static_cast<std::size_t>(it->position());
@@ -1420,9 +1419,6 @@ bool alloc_func_allowlisted(const std::string& bare) {
       // MeanVar/GaussianVec::point — by-value point-distribution
       // constructors used by the allocating conveniences.
       "point",
-      // Load-time PWL packing; sessions hoist it, the legacy convenience
-      // overload pays it per call by documented design.
-      "pack_pwl",
       // One-time kernel dispatch resolution (static init + env parse).
       "kernel_ops",
   };
