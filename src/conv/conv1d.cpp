@@ -8,18 +8,30 @@
 namespace apds {
 
 std::size_t Conv1dLayer::out_len(std::size_t in_len) const {
-  APDS_CHECK_MSG(in_len >= kernel, "conv1d: input shorter than kernel");
+  APDS_CHECK_MSG(in_len >= kernel, "conv1d: in_len " << in_len
+                                                     << " < kernel " << kernel);
   return (in_len - kernel) / stride + 1;
 }
 
 void Conv1dLayer::check() const {
-  APDS_CHECK(kernel > 0 && in_channels > 0 && out_channels > 0 && stride > 0);
+  APDS_CHECK_MSG(kernel > 0, "conv1d: kernel " << kernel << " must be > 0");
+  APDS_CHECK_MSG(stride > 0, "conv1d: stride " << stride << " must be > 0");
+  APDS_CHECK_MSG(in_channels > 0,
+                 "conv1d: in_channels " << in_channels << " must be > 0");
+  APDS_CHECK_MSG(out_channels > 0,
+                 "conv1d: out_channels " << out_channels << " must be > 0");
   APDS_CHECK_MSG(weight.rows() == kernel * in_channels &&
                      weight.cols() == out_channels,
-                 "conv1d: weight shape");
+                 "conv1d: weight shape " << weight.rows() << "x"
+                                         << weight.cols() << " != "
+                                         << kernel * in_channels << "x"
+                                         << out_channels);
   APDS_CHECK_MSG(bias.rows() == 1 && bias.cols() == out_channels,
-                 "conv1d: bias shape");
-  APDS_CHECK(channel_keep_prob > 0.0 && channel_keep_prob <= 1.0);
+                 "conv1d: bias shape " << bias.rows() << "x" << bias.cols()
+                                       << " != 1x" << out_channels);
+  APDS_CHECK_MSG(channel_keep_prob > 0.0 && channel_keep_prob <= 1.0,
+                 "conv1d: channel_keep_prob " << channel_keep_prob
+                                              << " not in (0, 1]");
 }
 
 Conv1dLayer make_conv1d(std::size_t kernel, std::size_t in_channels,
@@ -44,10 +56,15 @@ Conv1dLayer make_conv1d(std::size_t kernel, std::size_t in_channels,
 }
 
 namespace {
-std::size_t in_len_from(const Conv1dLayer& layer, const Matrix& input) {
-  APDS_CHECK_MSG(input.cols() % layer.in_channels == 0,
-                 "conv1d: input width not a multiple of channel count");
-  return input.cols() / layer.in_channels;
+/// The op-argument checks of both forward passes, once per call: the layer
+/// itself, then the input width against in_len * in_channels.
+void check_input(const Conv1dLayer& layer, const Matrix& input,
+                 std::size_t in_len) {
+  layer.check();
+  APDS_CHECK_MSG(input.cols() == in_len * layer.in_channels,
+                 "conv1d: input width " << input.cols() << " != in_len "
+                                        << in_len << " * in_channels "
+                                        << layer.in_channels);
 }
 
 // Core direct convolution over one batch with a per-sample channel scale
@@ -57,8 +74,6 @@ Matrix conv_with_channel_scale(
     const Conv1dLayer& layer, const Matrix& input, std::size_t in_len,
     const std::function<double(std::size_t sample, std::size_t channel)>&
         channel_scale) {
-  layer.check();
-  APDS_CHECK(in_len * layer.in_channels == input.cols());
   const std::size_t out_t = layer.out_len(in_len);
   Matrix out(input.rows(), out_t * layer.out_channels);
 
@@ -89,7 +104,7 @@ Matrix conv_with_channel_scale(
 
 Matrix conv1d_forward(const Conv1dLayer& layer, const Matrix& input,
                       std::size_t in_len) {
-  APDS_CHECK(in_len == in_len_from(layer, input));
+  check_input(layer, input, in_len);
   const double p = layer.channel_keep_prob;
   return conv_with_channel_scale(layer, input, in_len,
                                  [p](std::size_t, std::size_t) { return p; });
@@ -97,7 +112,7 @@ Matrix conv1d_forward(const Conv1dLayer& layer, const Matrix& input,
 
 Matrix conv1d_forward_stochastic(const Conv1dLayer& layer, const Matrix& input,
                                  std::size_t in_len, Rng& rng) {
-  APDS_CHECK(in_len == in_len_from(layer, input));
+  check_input(layer, input, in_len);
   // One mask per (sample, channel), shared across all time steps.
   Matrix mask(input.rows(), layer.in_channels, 1.0);
   if (layer.channel_keep_prob < 1.0)

@@ -10,7 +10,7 @@
 // per-step variant is what the analytic extension models — the same kind
 // of independence assumption the paper already makes across units.
 // Moments propagate step by step: the recurrent linear part uses the
-// paper's dropout-linear formulas (moment_linear), the input part is an
+// paper's dropout-linear formulas (moment_linear_into), the input part is an
 // exact affine map of the (deterministic) input, and the activation uses
 // the PWL closed form. Temporal correlation of h_t is ignored
 // (diagonal-Gaussian state), mirroring the paper's diagonal assumption.
@@ -34,6 +34,8 @@ struct RnnCell {
 
   std::size_t input_dim() const { return w_in.rows(); }
   std::size_t hidden_dim() const { return w_in.cols(); }
+  /// Validate shapes and rec_keep_prob; throws InvalidArgument naming the
+  /// argument and its value.
   void check() const;
 };
 
@@ -52,8 +54,20 @@ Matrix rnn_forward_stochastic(const RnnCell& cell, const Matrix& x_seq,
                               std::size_t steps, Rng& rng);
 
 /// Closed-form moments of the final hidden state under per-step recurrent
-/// dropout, using `surrogate` for the activation.
+/// dropout, using `surrogate` for the activation. Wraps the in-place form.
 MeanVar moment_rnn(const RnnCell& cell, const Matrix& x_seq,
                    std::size_t steps, const PiecewiseLinear& surrogate);
+
+/// In-place form: `out` is resized to [batch, hidden] and keeps its
+/// capacity, so a warm call into a reused `out` performs no heap
+/// allocation. The cell, steps and sequence width are checked once,
+/// before any work (InvalidArgument naming the argument and its value).
+/// All steps' input maps are one [batch * steps, input_dim] x W_in product
+/// over x_seq read in place; each step then runs moment_linear_into on the
+/// recurrent part and the dispatched f64 activation tile, ping-ponging one
+/// hidden-state slot pair in the thread's scratch arena. Bit-identical
+/// across pool widths within a kernel tier.
+void moment_rnn(const RnnCell& cell, const Matrix& x_seq, std::size_t steps,
+                const PiecewiseLinear& surrogate, MeanVar& out);
 
 }  // namespace apds

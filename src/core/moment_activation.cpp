@@ -27,6 +27,26 @@ ScalarMoments deterministic_moments(const PiecewiseLinear& f, double mu,
   return out;
 }
 
+/// Clamp a piece (a, b)'s partial moments to their exact bounds:
+/// E[X; a<X<b] lies in [a D, b D] and E[X^2; a<X<b] between D times the
+/// min and max of x^2 on (a, b). At a variance past ~1e20 a finite piece's
+/// sigma^2 (D + alpha phi(alpha) - beta phi(beta)) and sigma (phi(alpha) -
+/// phi(beta)) are rounding noise scaled by sigma^2, and the bounds restore
+/// the saturating surrogates' two-point limit. An infinite end gives an
+/// infinite or NaN (inf * 0) bound, which no comparison selects, and a NaN
+/// moment passes through. The act_tile_f64 kernels apply the same clamp.
+void clamp_to_piece(double a, double b, double mass, double& ex1,
+                    double& ex2) {
+  const double lo1 = a * mass;
+  const double hi1 = b * mass;
+  const double a2 = a * a;
+  const double b2 = b * b;
+  const double lo2 = (a < 0.0 && b > 0.0 ? 0.0 : (a2 < b2 ? a2 : b2)) * mass;
+  const double hi2 = (a2 > b2 ? a2 : b2) * mass;
+  ex1 = ex1 < lo1 ? lo1 : (ex1 > hi1 ? hi1 : ex1);
+  ex2 = ex2 < lo2 ? lo2 : (ex2 > hi2 ? hi2 : ex2);
+}
+
 // Minimum elements per parallel chunk; one element costs ~P phi/Phi pairs.
 constexpr std::size_t kActivationGrain = 256;
 
@@ -85,8 +105,9 @@ ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
     // apds-lint: allow(float-equal)
     if (pm.mass <= 0.0 && pm.first == 0.0 && pm.second == 0.0) continue;
     // E[X 1] and E[X^2 1] from central partial moments.
-    const double ex1 = mu * pm.mass + pm.first;
-    const double ex2 = pm.second + 2.0 * mu * pm.first + mu * mu * pm.mass;
+    double ex1 = mu * pm.mass + pm.first;
+    double ex2 = pm.second + 2.0 * mu * pm.first + mu * mu * pm.mass;
+    clamp_to_piece(p.lo, p.hi, pm.mass, ex1, ex2);
     ey += p.k * ex1 + p.c * pm.mass;
     ey2 += p.k * p.k * ex2 + 2.0 * p.k * p.c * ex1 + p.c * p.c * pm.mass;
   }

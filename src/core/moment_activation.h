@@ -70,10 +70,11 @@ ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
 ///     near-deterministic lane takes the linearization (f(mu), k^2 var),
 ///     so a non-finite mean stays non-finite and its variance finite;
 ///   * zero and denormal variances take that linearization exactly. A huge
-///     finite variance (1e30) stays finite, but past ~1e20 the closed
-///     form's E[Y^2] - E[Y]^2 is dominated by rounding (in
-///     activation_moments too), so such an output variance is not
-///     meaningful.
+///     finite variance (1e20, 1e30) stays finite and meaningful: each
+///     piece's partial moments are clamped to their exact bounds (in
+///     activation_moments too), so a saturating surrogate returns its
+///     two-point limit (tanh-7: mean ~0, variance ~1) instead of the
+///     rounding noise sigma^2 would otherwise scale up.
 void moment_activation_batch(const PiecewiseLinear& f, double* mean,
                              double* var, std::size_t n);
 

@@ -1,14 +1,14 @@
 // Runtime CPU-feature kernel dispatch (MLAS-style).
 //
 // The hot inference kernels exist in three builds of one shared body
-// (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment and
-// activation tiles): a baseline TU compiled with the project defaults (SSE2 on
-// x86-64), an AVX2+FMA TU and a Skylake-X AVX-512 TU (F+BW+DQ+VL — BW is
-// what gives the i8 kernels 512-bit vpmaddwd), each with its own -m flags
-// (see src/tensor/CMakeLists.txt). At startup the dispatcher probes CPUID
-// once and binds the best supported table; every caller goes through
-// kernel_ops() function pointers, so one binary serves the whole ISA range
-// an IoT fleet actually spans.
+// (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment,
+// conv moment and activation tiles): a baseline TU compiled with the
+// project defaults (SSE2 on x86-64), an AVX2+FMA TU and a Skylake-X
+// AVX-512 TU (F+BW+DQ+VL — BW is what gives the i8 kernels 512-bit
+// vpmaddwd), each with its own -m flags (see src/tensor/CMakeLists.txt).
+// At startup the dispatcher probes CPUID once and binds the best supported
+// table; every caller goes through kernel_ops() function pointers, so one
+// binary serves the whole ISA range an IoT fleet actually spans.
 //
 // Resolution precedence mirrors the thread-pool width and precision:
 //   set_global_kernel_backend() (the benches' --kernel flag lands here)
@@ -18,7 +18,7 @@
 // the best supported one — an override must never SIGILL a device.
 //
 // The f32 fast path, the i8 quantized path and the f64 moment pass (its
-// dropout-linear tile and its PWL activation tile, kernel_body_f64.inl)
+// dropout-linear, conv1d and PWL activation tiles, kernel_body_f64.inl)
 // route through this table; the rest of the f64 path (nn, training,
 // MCDrop) keeps default flags. Every dispatched kernel keeps the
 // per-output-element accumulation order of the serial loops, so results
@@ -199,6 +199,25 @@ struct KernelOps {
                           const double* bias, std::size_t kdim, std::size_t n,
                           std::size_t r0, std::size_t r1, std::size_t j0,
                           std::size_t j1, double* out_mean, double* out_var);
+
+  /// Windows [t0, t1) of one batch row of the f64 conv1d dropout moments,
+  /// one keep-mask per input channel shared across a window's taps:
+  ///   out_mean[t oc + j] = p sum_c P_c + bias[j]
+  ///   out_var [t oc + j] = max(0, p sum_{k,c} var W^2 + p(1-p) sum_c P_c^2)
+  /// with P_c = sum_k mu W over channel c's taps. mu/var hold the row's
+  /// channel-interleaved input; window t is the contiguous kernel * channels
+  /// slice at t * stride * channels (no im2col copy). W is
+  /// [kernel * channels, oc] row-major, squared in registers; out_mean/
+  /// out_var hold the row's [out_len * oc] output. Per element the order
+  /// is channels ascending, taps ascending, so any window split gives the
+  /// same bits. No heap allocation; stack use does not grow with channels.
+  void (*moment_conv_tile_f64)(const double* mu, const double* var,
+                               const double* w, const double* bias,
+                               std::size_t kernel, std::size_t channels,
+                               std::size_t stride, std::size_t oc,
+                               double keep_prob, std::size_t t0,
+                               std::size_t t1, double* out_mean,
+                               double* out_var);
 };
 
 /// The table bound to the globally resolved backend.

@@ -1,6 +1,7 @@
-// Test-local f64 reference of ApDeepSense's moment pass, composed only
-// from public pieces: the dropout-linear prep (paper Eq. 10), gemm against
-// W and against square(W), the bias add and variance clamp, then
+// Test-local f64 references, composed only from public pieces.
+//
+// ApDeepSense's moment pass: the dropout-linear prep (paper Eq. 10), gemm
+// against W and against square(W), the bias add and variance clamp, then
 // moment_activation_inplace with the propagator's own surrogate. It is the
 // scalar-tier reference: with the kernel backend pinned to scalar (see
 // ScalarKernelScope) the f64 engine (an InferenceSession running the
@@ -8,11 +9,16 @@
 // same k-ascending accumulation order, a stored square(W) in place of the
 // tile's in-kernel square. The avx2/avx512 tiers contract to FMA and only
 // agree with it to ~1e-14 relative.
+//
+// The conv1d linear moments: the strided scalar loop the dispatched conv
+// tile replaced (see reference_moment_conv1d_linear).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "conv/conv1d.h"
 #include "core/apdeepsense.h"
 #include "core/gaussian_vec.h"
 #include "core/moment_activation.h"
@@ -72,6 +78,46 @@ inline MeanVar reference_propagate(const ApDeepSense& apd,
     if (layer_outputs) layer_outputs->push_back(h);
   }
   return h;
+}
+
+/// The conv1d linear moments as the library computed them before the
+/// dispatched conv tile: one strided scalar loop per output channel,
+/// walking W down a column and summing taps k-major. The tile reorders
+/// the sums (channel-major, W squared first), so it agrees with this
+/// reference to rounding, not bit for bit.
+inline MeanVar reference_moment_conv1d_linear(const Conv1dLayer& layer,
+                                              const MeanVar& input,
+                                              std::size_t in_len) {
+  const std::size_t out_t = layer.out_len(in_len);
+  const double p = layer.channel_keep_prob;
+  MeanVar out(input.batch(), out_t * layer.out_channels);
+  std::vector<double> partial_mean(layer.in_channels);
+  for (std::size_t b = 0; b < input.batch(); ++b)
+    for (std::size_t t = 0; t < out_t; ++t) {
+      const double* mu = input.mean.data() + b * input.dim();
+      const double* var = input.var.data() + b * input.dim();
+      const std::size_t base = t * layer.stride * layer.in_channels;
+      for (std::size_t oc = 0; oc < layer.out_channels; ++oc) {
+        double var_indep = 0.0;
+        std::fill(partial_mean.begin(), partial_mean.end(), 0.0);
+        double mean_acc = 0.0;
+        for (std::size_t k = 0; k < layer.kernel; ++k)
+          for (std::size_t c = 0; c < layer.in_channels; ++c) {
+            const std::size_t i = base + k * layer.in_channels + c;
+            const double w = layer.weight(k * layer.in_channels + c, oc);
+            partial_mean[c] += mu[i] * w;
+            var_indep += var[i] * w * w;
+            mean_acc += mu[i] * w;
+          }
+        double mask_var = 0.0;
+        for (const double pm : partial_mean) mask_var += pm * pm;
+        const double v = p * var_indep + p * (1.0 - p) * mask_var;
+        out.mean(b, t * layer.out_channels + oc) =
+            p * mean_acc + layer.bias(0, oc);
+        out.var(b, t * layer.out_channels + oc) = v < 0.0 ? 0.0 : v;
+      }
+    }
+  return out;
 }
 
 }  // namespace apds::testing

@@ -1,5 +1,6 @@
 // InferenceSession: the zero-alloc steady-state contract (the whole point
-// of planned arenas), f64 bit-identity against a test-local reference
+// of planned arenas, also held by the in-place ConvApDeepSense and
+// moment_rnn forms), f64 bit-identity against a test-local reference
 // built from public pieces, ApDeepSense running its own sessions at every
 // precision, and arena replanning.
 #include "core/inference_session.h"
@@ -13,6 +14,8 @@
 
 #include "common/precision.h"
 #include "common/rng.h"
+#include "conv/conv_apdeepsense.h"
+#include "conv/rnn.h"
 #include "core/adaptive_surrogate.h"
 #include "core/apdeepsense.h"
 #include "moment_reference.h"
@@ -224,6 +227,57 @@ TEST(InferenceSession, SteadyStatePropagateAllocatesNothing) {
         EXPECT_EQ(delta.allocs, 0u);
         EXPECT_EQ(delta.bytes, 0u);
       }
+    }
+  }
+}
+
+// The conv/RNN extensions hold the same contract through their in-place
+// forms: a warmed-up ConvApDeepSense::propagate (conv stack on the thread's
+// scratch and feature batch, then the head session) and moment_rnn (one
+// input-map product, one hidden-state slot pair) allocate nothing, on the
+// scalar and native tiers, with and without pool workers.
+TEST(InferenceSession, ConvAndRnnInPlaceSteadyStateAllocatesNothing) {
+  ASSERT_TRUE(obs::alloc_hooks_active());
+  GlobalKnobGuard restore;
+  Rng rng(61);
+  std::vector<Conv1dLayer> convs;
+  convs.push_back(make_conv1d(5, 6, 32, 2, Activation::kRelu, 0.9, rng));
+  convs.push_back(make_conv1d(5, 32, 16, 2, Activation::kRelu, 0.9, rng));
+  MlpSpec head;
+  head.dims = {16 * 12, 24, 4};
+  head.hidden_act = Activation::kRelu;
+  head.hidden_keep_prob = 0.9;
+  const ConvNet net(60, 6, std::move(convs), Mlp::make(head, rng));
+  const ConvApDeepSense conv(net);
+  const MeanVar conv_in = MeanVar::point(random_matrix(3, 60 * 6, rng));
+  const RnnCell cell = make_rnn_cell(6, 48, Activation::kTanh, 0.9, rng);
+  const Matrix seq = random_matrix(3, 6 * 10, rng);
+  const auto tanh_pwl = PiecewiseLinear::for_activation(Activation::kTanh);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_global_threads(threads);
+    for (const KernelBackend backend :
+         {KernelBackend::kScalar, best_supported_backend()}) {
+      set_global_kernel_backend(backend);
+      SCOPED_TRACE(std::string(kernel_backend_name(backend)) + "/t" +
+                   std::to_string(threads));
+      MeanVar conv_out;
+      MeanVar rnn_out;
+      for (int i = 0; i < 3; ++i) {
+        conv.propagate(conv_in, conv_out);
+        moment_rnn(cell, seq, 10, tanh_pwl, rnn_out);
+      }
+      obs::AllocCounters before = obs::process_alloc_counters();
+      for (int i = 0; i < 5; ++i) conv.propagate(conv_in, conv_out);
+      obs::AllocCounters delta = obs::process_alloc_counters() - before;
+      EXPECT_EQ(delta.allocs, 0u) << "ConvApDeepSense::propagate";
+      EXPECT_EQ(delta.bytes, 0u) << "ConvApDeepSense::propagate";
+
+      before = obs::process_alloc_counters();
+      for (int i = 0; i < 5; ++i) moment_rnn(cell, seq, 10, tanh_pwl, rnn_out);
+      delta = obs::process_alloc_counters() - before;
+      EXPECT_EQ(delta.allocs, 0u) << "moment_rnn";
+      EXPECT_EQ(delta.bytes, 0u) << "moment_rnn";
     }
   }
 }

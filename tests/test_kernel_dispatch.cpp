@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "conv/moment_conv.h"
 #include "core/apdeepsense.h"
 #include "core/moment_activation.h"
 #include "core/moment_fused.h"
@@ -158,6 +159,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.moment_tile_i8, nullptr);
     EXPECT_NE(ops.act_tile_f64, nullptr);
     EXPECT_NE(ops.moment_tile_f64, nullptr);
+    EXPECT_NE(ops.moment_conv_tile_f64, nullptr);
   }
 }
 
@@ -408,6 +410,98 @@ TEST(KernelAgreement, MomentTileF64MatchesStoredSquareReference) {
           << kernel_backend_name(back);
       EXPECT_LE(max_scaled_diff(want.var, serial.var), 1e-12)
           << kernel_backend_name(back);
+    }
+  }
+}
+
+// The dispatched conv tile through moment_conv1d_linear against the
+// strided scalar loop it replaced (tests/moment_reference.h), at every
+// supported tier: within 1e-12 scaled, and bit-identical across pool
+// widths 1 and 4. Shapes cover kernel 1 (which must reduce to the dense
+// dropout-linear formula), stride > kernel, a single input channel, output
+// channel counts below, at and past the register block and the 128-wide
+// tile (1, 7, 32, 130), batch 3, input variance everywhere and exact +0.0
+// and -0.0 means. The raw tile called window by window must give the
+// bits of moment_conv1d_linear too.
+TEST(KernelAgreement, MomentConvTileF64MatchesReference) {
+  struct Cleanup {
+    ~Cleanup() {
+      clear_global_kernel_backend();
+      set_global_threads(0);
+    }
+  } cleanup;
+  Rng rng(53);
+  struct Shape {
+    std::size_t kernel, stride, in_ch, out_ch, in_len;
+  };
+  for (const Shape shape :
+       {Shape{1, 1, 5, 7, 6}, Shape{3, 5, 4, 32, 23}, Shape{4, 2, 1, 130, 40},
+        Shape{5, 2, 6, 1, 30}, Shape{5, 1, 32, 32, 17}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "kernel " << shape.kernel << " stride " << shape.stride
+                 << " in " << shape.in_ch << " out " << shape.out_ch);
+    const Conv1dLayer layer =
+        make_conv1d(shape.kernel, shape.in_ch, shape.out_ch, shape.stride,
+                    Activation::kRelu, 0.8, rng);
+    MeanVar input(3, shape.in_len * shape.in_ch);
+    for (double& v : input.mean.flat()) v = rng.normal();
+    for (double& v : input.var.flat()) v = 0.01 + std::fabs(rng.normal());
+    for (std::size_t i = 0; i < input.mean.size(); i += 5)
+      input.mean.data()[i] = (i % 2 == 0) ? 0.0 : -0.0;
+    const MeanVar want =
+        testing::reference_moment_conv1d_linear(layer, input, shape.in_len);
+    for (const KernelBackend back : supported_backends()) {
+      set_global_kernel_backend(back);
+      set_global_threads(1);
+      const MeanVar serial = moment_conv1d_linear(layer, input, shape.in_len);
+      set_global_threads(4);
+      const MeanVar parallel =
+          moment_conv1d_linear(layer, input, shape.in_len);
+      EXPECT_TRUE(bytes_equal(serial.mean, parallel.mean))
+          << kernel_backend_name(back);
+      EXPECT_TRUE(bytes_equal(serial.var, parallel.var))
+          << kernel_backend_name(back);
+      EXPECT_LE(max_scaled_diff(want.mean, serial.mean), 1e-12)
+          << kernel_backend_name(back);
+      EXPECT_LE(max_scaled_diff(want.var, serial.var), 1e-12)
+          << kernel_backend_name(back);
+      // The tile called one window at a time (no multi-window register
+      // block) gives the same bits as moment_conv1d_linear's window runs.
+      MeanVar single(3, serial.dim());
+      const std::size_t out_t = layer.out_len(shape.in_len);
+      for (std::size_t b = 0; b < 3; ++b)
+        for (std::size_t t = 0; t < out_t; ++t)
+          kernel_ops(back).moment_conv_tile_f64(
+              input.mean.row(b).data(), input.var.row(b).data(),
+              layer.weight.data(), layer.bias.data(), shape.kernel,
+              shape.in_ch, shape.stride, shape.out_ch, 0.8, t, t + 1,
+              single.mean.row(b).data(), single.var.row(b).data());
+      EXPECT_TRUE(bytes_equal(serial.mean, single.mean))
+          << kernel_backend_name(back);
+      EXPECT_TRUE(bytes_equal(serial.var, single.var))
+          << kernel_backend_name(back);
+      if (shape.kernel == 1 && shape.stride == 1) {
+        // Every window is one time step: the dense formula over the rows
+        // [batch * in_len, in_channels].
+        DenseLayer dense;
+        dense.weight = layer.weight;
+        dense.bias = layer.bias;
+        dense.keep_prob = layer.channel_keep_prob;
+        MeanVar rows(3 * shape.in_len, shape.in_ch);
+        std::copy(input.mean.flat().begin(), input.mean.flat().end(),
+                  rows.mean.flat().begin());
+        std::copy(input.var.flat().begin(), input.var.flat().end(),
+                  rows.var.flat().begin());
+        const MeanVar dense_out = testing::reference_moment_linear(rows, dense);
+        Matrix conv_mean(3 * shape.in_len, shape.out_ch);
+        Matrix conv_var(3 * shape.in_len, shape.out_ch);
+        std::copy(serial.mean.flat().begin(), serial.mean.flat().end(),
+                  conv_mean.flat().begin());
+        std::copy(serial.var.flat().begin(), serial.var.flat().end(),
+                  conv_var.flat().begin());
+        EXPECT_LE(max_scaled_diff(dense_out.mean, conv_mean), 1e-12);
+        EXPECT_LE(max_scaled_diff(dense_out.var, conv_var), 1e-12);
+      }
     }
   }
 }

@@ -230,6 +230,52 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
       EXPECT_EQ(v[0], 1.0);
     }
   }
+
+  // Huge variances (1e20, 1e30): each finite piece's partial moments are
+  // clamped to their exact bounds, so a saturating surrogate returns its
+  // two-point limit — half the mass in each constant tail — instead of
+  // rounding noise scaled by sigma^2, in the batch path at every tier and
+  // in activation_moments. relu's two pieces are unbounded, so it keeps
+  // the plain closed form.
+  for (const Activation act :
+       {Activation::kTanh, Activation::kSigmoid, Activation::kRelu}) {
+    SCOPED_TRACE(activation_name(act));
+    const PiecewiseLinear f = PiecewiseLinear::for_activation(act, 7);
+    const double c_lo = f.pieces().front().c;
+    const double c_hi = f.pieces().back().c;
+    for (const KernelBackend back : tiers) {
+      set_global_kernel_backend(back);
+      for (const double var : {1e20, 1e30})
+        for (const double mu : {-3.0, 0.5, 3.0}) {
+          SCOPED_TRACE(::testing::Message() << kernel_backend_name(back)
+                                            << " mu=" << mu << " var=" << var);
+          double m = mu;
+          double v = var;
+          moment_activation_batch(f, &m, &v, 1);
+          const ScalarMoments single = activation_moments(f, mu, var);
+          if (act == Activation::kRelu) {
+            const double sigma = std::sqrt(var);
+            const double z = mu / sigma;
+            const double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
+            const double pdf =
+                std::exp(-0.5 * z * z) / std::sqrt(2.0 * std::acos(-1.0));
+            const double ey = mu * cdf + sigma * pdf;
+            const double vy =
+                (mu * mu + var) * cdf + mu * sigma * pdf - ey * ey;
+            for (const double got : {m, single.mean})
+              EXPECT_LE(std::fabs(got - ey) / ey, 1e-12);
+            for (const double got : {v, single.var})
+              EXPECT_LE(std::fabs(got - vy) / vy, 1e-12);
+          } else {
+            const double half_gap = 0.5 * (c_hi - c_lo);
+            for (const double got : {m, single.mean})
+              EXPECT_NEAR(got, 0.5 * (c_lo + c_hi), 1e-6);
+            for (const double got : {v, single.var})
+              EXPECT_NEAR(got, half_gap * half_gap, 1e-6);
+          }
+        }
+    }
+  }
 }
 
 // Property sweep: closed-form moments of the PWL surrogate must match

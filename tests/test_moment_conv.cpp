@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
+#include "conv/conv_apdeepsense.h"
 #include "core/moment_activation.h"
 #include "stats/running_stats.h"
 #include "tensor/ops.h"
@@ -163,6 +165,62 @@ TEST(MomentConv, ShapeValidation) {
   Conv1dLayer layer = make_conv1d(3, 2, 2, 1, Activation::kRelu, 0.9, rng);
   MeanVar bad(1, 7);  // not a multiple of in_len * channels
   EXPECT_THROW(moment_conv1d_linear(layer, bad, 4), InvalidArgument);
+}
+
+/// Runs `fn`, which must throw InvalidArgument, and checks that the
+/// message names the op, the argument and its value (`needle`).
+template <typename Fn>
+void expect_invalid(Fn&& fn, const std::string& needle) {
+  EXPECT_THROW(fn(), InvalidArgument) << needle;
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every bad op argument is a typed error naming the op, the argument and
+// its value, raised by the up-front check.
+TEST(MomentConv, OpArgumentsAreValidatedWithNamedErrors) {
+  Rng rng(9);
+  const Conv1dLayer good = make_conv1d(3, 2, 4, 1, Activation::kRelu, 0.9, rng);
+  MeanVar input(1, 6 * 2);
+  auto run = [&](const Conv1dLayer& layer, std::size_t in_len) {
+    return [&layer, &input, in_len] {
+      moment_conv1d_linear(layer, input, in_len);
+    };
+  };
+  Conv1dLayer bad = good;
+  bad.kernel = 0;
+  expect_invalid(run(bad, 6), "conv1d: kernel 0");
+  bad = good;
+  bad.stride = 0;
+  expect_invalid(run(bad, 6), "conv1d: stride 0");
+  bad = good;
+  bad.in_channels = 0;
+  expect_invalid(run(bad, 6), "conv1d: in_channels 0");
+  bad = good;
+  bad.out_channels = 0;
+  expect_invalid(run(bad, 6), "conv1d: out_channels 0");
+  bad = good;
+  bad.channel_keep_prob = 1.5;
+  expect_invalid(run(bad, 6), "conv1d: channel_keep_prob 1.5");
+  bad.channel_keep_prob = 0.0;
+  expect_invalid(run(bad, 6), "conv1d: channel_keep_prob 0");
+  expect_invalid(run(good, 2), "conv1d: in_len 2 < kernel 3");
+  expect_invalid(run(good, 5), "moment_conv1d: input width 12 != in_len 5");
+
+  // The forward passes and ConvApDeepSense run the same checks.
+  const Matrix x(1, 7);
+  expect_invalid([&] { conv1d_forward(good, x, 4); },
+                 "conv1d: input width 7 != in_len 4");
+  MlpSpec head;
+  head.dims = {4 * 4, 3};
+  const ConvNet net(6, 2, {good}, Mlp::make(head, rng));
+  const ConvApDeepSense apd(net);
+  expect_invalid([&] { apd.propagate(MeanVar(1, 10)); },
+                 "ConvApDeepSense: input width 10 != input_len 6");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "conv/conv_apdeepsense.h"
+#include "conv/rnn.h"
 #include "core/apdeepsense.h"
 #include "core/moment_activation.h"
 #include "platform/thread_pool.h"
@@ -237,6 +238,65 @@ TEST(ParallelDeterminism, ConvApDeepSenseBitIdentical) {
   const auto parallel = with_threads(4, run);
   EXPECT_EQ(max_abs_diff(serial.mean, parallel.mean), 0.0);
   EXPECT_EQ(max_abs_diff(serial.var, parallel.var), 0.0);
+}
+
+// Wide enough for the dispatched conv tile's register blocks (out
+// channels 20 = 2 blocks + remainder lanes at every tier), several fixed
+// window units per row and batch > 1, through the in-place form, at every
+// kernel tier.
+TEST(ParallelDeterminism, ConvApDeepSenseInPlaceBitIdenticalAtEveryTier) {
+  Rng rng(17);
+  std::vector<Conv1dLayer> convs;
+  convs.push_back(make_conv1d(5, 3, 20, 1, Activation::kRelu, 0.9, rng));
+  convs.push_back(make_conv1d(3, 20, 9, 2, Activation::kTanh, 0.8, rng));
+  MlpSpec head;
+  head.dims = {9 * 57, 16, 3};
+  head.hidden_act = Activation::kRelu;
+  head.hidden_keep_prob = 0.9;
+  const ConvNet net(120, 3, std::move(convs), Mlp::make(head, rng));
+  const ConvApDeepSense apd(net);
+  MeanVar input(4, 120 * 3);
+  for (double& v : input.mean.flat()) v = rng.normal();
+  for (double& v : input.var.flat()) v = 0.1 * std::fabs(rng.normal());
+  for (const KernelBackend b :
+       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    if (!kernel_backend_supported(b)) continue;
+    SCOPED_TRACE(kernel_backend_name(b));
+    set_global_kernel_backend(b);
+    auto run = [&] {
+      MeanVar out;
+      apd.propagate(input, out);
+      return out;
+    };
+    const auto serial = with_threads(1, run);
+    const auto parallel = with_threads(4, run);
+    EXPECT_EQ(max_abs_diff(serial.mean, parallel.mean), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.var, parallel.var), 0.0);
+  }
+  clear_global_kernel_backend();
+}
+
+TEST(ParallelDeterminism, MomentRnnBitIdenticalAtEveryTier) {
+  Rng rng(19);
+  const RnnCell cell = make_rnn_cell(5, 40, Activation::kTanh, 0.85, rng);
+  const Matrix x = random_matrix(6, 5 * 9, rng);
+  const auto surrogate = PiecewiseLinear::for_activation(Activation::kTanh);
+  for (const KernelBackend b :
+       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    if (!kernel_backend_supported(b)) continue;
+    SCOPED_TRACE(kernel_backend_name(b));
+    set_global_kernel_backend(b);
+    auto run = [&] {
+      MeanVar out;
+      moment_rnn(cell, x, 9, surrogate, out);
+      return out;
+    };
+    const auto serial = with_threads(1, run);
+    const auto parallel = with_threads(4, run);
+    EXPECT_EQ(max_abs_diff(serial.mean, parallel.mean), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.var, parallel.var), 0.0);
+  }
+  clear_global_kernel_backend();
 }
 
 }  // namespace

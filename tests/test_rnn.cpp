@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "stats/running_stats.h"
@@ -126,6 +127,49 @@ TEST(Rnn, SequenceWidthValidated) {
   EXPECT_THROW(rnn_forward(cell, x, 3), InvalidArgument);
   const auto surrogate = PiecewiseLinear::fit_tanh(7);
   EXPECT_THROW(moment_rnn(cell, x, 3, surrogate), InvalidArgument);
+}
+
+/// Runs `fn`, which must throw InvalidArgument, and checks that the
+/// message names the op, the argument and its value (`needle`).
+template <typename Fn>
+void expect_invalid(Fn&& fn, const std::string& needle) {
+  EXPECT_THROW(fn(), InvalidArgument) << needle;
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every bad op argument is a typed error naming the op, the argument and
+// its value, raised by the up-front check of each sequence entry point.
+TEST(Rnn, OpArgumentsAreValidatedWithNamedErrors) {
+  Rng rng(12);
+  const RnnCell good = make_rnn_cell(3, 4, Activation::kTanh, 0.9, rng);
+  const auto surrogate = PiecewiseLinear::fit_tanh(7);
+  const Matrix x(2, 3 * 5);
+  MeanVar out;
+  auto run = [&](const RnnCell& cell, const Matrix& seq, std::size_t steps) {
+    return [&cell, &seq, steps, &surrogate, &out] {
+      moment_rnn(cell, seq, steps, surrogate, out);
+    };
+  };
+  RnnCell bad = good;
+  bad.rec_keep_prob = 1.5;
+  expect_invalid(run(bad, x, 5), "rnn: rec_keep_prob 1.5");
+  bad.rec_keep_prob = 0.0;
+  expect_invalid(run(bad, x, 5), "rnn: rec_keep_prob 0");
+  bad = good;
+  bad.w_rec = Matrix(4, 5);
+  expect_invalid(run(bad, x, 5), "rnn: recurrent weight shape 4x5");
+  bad = good;
+  bad.bias = Matrix(1, 3);
+  expect_invalid(run(bad, x, 5), "rnn: bias shape 1x3");
+  expect_invalid(run(good, x, 0), "rnn: steps 0");
+  expect_invalid(run(good, x, 4), "rnn: sequence width 15 != steps 4");
+  expect_invalid([&] { rnn_forward(good, x, 4); },
+                 "rnn: sequence width 15 != steps 4");
 }
 
 }  // namespace

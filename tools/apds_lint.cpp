@@ -1421,6 +1421,8 @@ bool alloc_func_allowlisted(const std::string& bare) {
       "point",
       // One-time kernel dispatch resolution (static init + env parse).
       "kernel_ops",
+      // One-time precision resolution (env parse, then cached).
+      "global_precision",
   };
   return allowed.count(bare) > 0;
 }
@@ -1432,6 +1434,7 @@ bool is_hot_path_root(const FuncDef& def) {
       "InferenceSession::propagate_f64",
       "InferenceSession::propagate_f32",
       "InferenceSession::propagate_i8",
+      "ConvApDeepSense::propagate",
   };
   for (const char* root : kQualifiedRoots)
     if (def.name == root || has_suffix(def.name, std::string("::") + root))
@@ -1440,6 +1443,8 @@ bool is_hot_path_root(const FuncDef& def) {
       "moment_linear_into",
       "moment_linear_act_into",
       "moment_activation_batch",
+      "moment_conv1d_linear_into",
+      "moment_rnn",
   };
   for (const char* root : kBareRoots)
     if (def.bare == root) return true;
