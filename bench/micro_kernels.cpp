@@ -22,7 +22,10 @@
 // `allocs` column is 0 in steady state (bench-smoke gates this via
 // bench_compare --max-allocs apd_propagate_:0), and apd_session_b1_f32
 // times one batch-1 f32 session call (gated at zero allocations by
-// --max-allocs apd_session_:0).
+// --max-allocs apd_session_:0). conv_propagate_b1 and rnn_b1 time the
+// conv/RNN extensions' in-place forms (gated at 0 by --max-allocs
+// conv_propagate_:0 and rnn_:0), and mcdrop50_predict_b1 the batched
+// MCDrop-50 comparator (gated at its returned predictive's 2 matrices).
 // The JSON header records the resolved
 // kernel ISA tier ("isa") and ambient precision alongside the thread
 // count, so a comparison across reports taken on different machines or
@@ -46,6 +49,8 @@
 #include "common/error.h"
 #include "common/precision.h"
 #include "common/rng.h"
+#include "conv/conv_apdeepsense.h"
+#include "conv/rnn.h"
 #include "core/apdeepsense.h"
 #include "core/inference_session.h"
 #include "core/moment_fused.h"
@@ -476,6 +481,52 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       Rng sample_rng(17);
       const auto samples = mcdrop_collect(mlp, x, 30, sample_rng);
       benchmark::DoNotOptimize(samples.data());
+    });
+    // The paper's comparator at batch 1: MCDrop-50 runs as one stacked
+    // 50-row pass and summarizes straight from it, so a warm call
+    // allocates only the returned predictive's two matrices
+    // (bench_compare --max-allocs mcdrop50_predict_:2).
+    const Matrix x1 = random_matrix(1, 250, rng);
+    const McDrop mc(mlp, 50, /*seed=*/19);
+    record("mcdrop50_predict_b1", [&] {
+      const PredictiveGaussian pred = mc.predict_regression(x1);
+      benchmark::DoNotOptimize(pred.mean.data());
+    });
+  }
+  {
+    // The conv/RNN extensions through their in-place forms at batch 1 on
+    // the IMU shapes (128 steps x 6 channels; three 5-tap stride-2 conv
+    // layers of 32 channels and a 416-256-6 head; a 128-wide tanh RNN over
+    // 32 steps): 0 allocations once warm (bench_compare --max-allocs
+    // conv_propagate_:0 and rnn_:0).
+    Rng net_rng(7);
+    std::vector<Conv1dLayer> convs;
+    std::size_t in_ch = 6;
+    for (int l = 0; l < 3; ++l) {
+      convs.push_back(
+          make_conv1d(5, in_ch, 32, 2, Activation::kRelu, 0.9, net_rng));
+      in_ch = 32;
+    }
+    MlpSpec head;
+    head.dims = {416, 256, 6};
+    head.hidden_keep_prob = 0.9;
+    const ConvNet net(128, 6, std::move(convs), Mlp::make(head, net_rng));
+    const ConvApDeepSense conv(net);
+    const MeanVar window = MeanVar::point(random_matrix(1, 128 * 6, rng));
+    MeanVar conv_out;
+    record("conv_propagate_b1", [&] {
+      conv.propagate(window, conv_out);
+      benchmark::DoNotOptimize(conv_out.mean.data());
+    });
+    const RnnCell cell =
+        make_rnn_cell(24, 128, Activation::kTanh, 0.9, net_rng);
+    const PiecewiseLinear tanh_pwl =
+        PiecewiseLinear::for_activation(Activation::kTanh);
+    const Matrix seq = random_matrix(1, 128 * 6, rng);
+    MeanVar rnn_out;
+    record("rnn_b1", [&] {
+      moment_rnn(cell, seq, 32, tanh_pwl, rnn_out);
+      benchmark::DoNotOptimize(rnn_out.mean.data());
     });
   }
   {

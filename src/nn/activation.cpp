@@ -35,8 +35,25 @@ double activate_grad(Activation act, double x) {
 
 Matrix apply_activation(Activation act, const Matrix& x) {
   Matrix y = x;
-  for (double& v : y.flat()) v = activate(act, v);
+  apply_activation_inplace(act, y.data(), y.size());
   return y;
+}
+
+void apply_activation_inplace(Activation act, double* x, std::size_t n) {
+  // One switch per call, then activate()'s expression per element.
+  switch (act) {
+    case Activation::kIdentity: return;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+      return;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+      return;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) x[i] = sigmoid(x[i]);
+      return;
+  }
+  throw InvalidArgument("unknown activation");
 }
 
 Matrix activation_grad_matrix(Activation act, const Matrix& x) {

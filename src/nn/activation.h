@@ -1,6 +1,7 @@
 // Activation functions for the MLP substrate.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "tensor/matrix.h"
@@ -17,6 +18,10 @@ double activate_grad(Activation act, double x);
 
 /// Apply the activation elementwise, returning a new matrix.
 Matrix apply_activation(Activation act, const Matrix& x);
+
+/// Apply the activation to x[0, n) in place; every element gets exactly
+/// activate(act, x[i]).
+void apply_activation_inplace(Activation act, double* x, std::size_t n);
 
 /// Elementwise derivative at the given pre-activations.
 Matrix activation_grad_matrix(Activation act, const Matrix& x);

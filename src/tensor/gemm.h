@@ -2,16 +2,19 @@
 //
 // Cache-blocked, i-k-j loop order so the inner loop is a contiguous
 // axpy over the output row — this auto-vectorizes well and is the
-// performance backbone of both training and MCDrop inference.
+// backbone of training and of the nn forward passes.
 //
 // Every kernel exists at both scalar widths: the f64 overloads are the
-// reference/training path (nn, the trainer, MCDrop; default flags,
-// bit-identical to previous releases), the MatrixF overloads are the
+// reference/training path (nn, the trainer, the per-sample
+// Mlp::forward_stochastic; default flags, bit-identical to previous
+// releases), the MatrixF overloads are the
 // single-precision fast path (same blocking and per-element accumulation
 // order, twice the SIMD lanes and half the memory traffic). Both are
 // parallelized over the shared pool with partition-independent results.
 // The moment passes do not run here: ApDeepSense's f64 and f32 engines
-// use the dispatched moment tiles (tensor/kernels/kernel_dispatch.h).
+// use the dispatched moment tiles, and batched MCDrop the dispatched f64
+// GEMM tile (tensor/kernels/kernel_dispatch.h), whose scalar tier is
+// bit-identical to the f64 gemm_buffers below.
 #pragma once
 
 #include "tensor/matrix.h"

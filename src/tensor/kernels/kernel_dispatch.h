@@ -2,7 +2,7 @@
 //
 // The hot inference kernels exist in three builds of one shared body
 // (kernel_body.inl for f32/i8, kernel_body_f64.inl for the f64 moment,
-// conv moment and activation tiles): a baseline TU compiled with the
+// conv moment, GEMM and activation tiles): a baseline TU compiled with the
 // project defaults (SSE2 on x86-64), an AVX2+FMA TU and a Skylake-X
 // AVX-512 TU (F+BW+DQ+VL — BW is what gives the i8 kernels 512-bit
 // vpmaddwd), each with its own -m flags (see src/tensor/CMakeLists.txt).
@@ -17,18 +17,21 @@
 // Forcing a backend the CPU cannot execute logs a warning and clamps to
 // the best supported one — an override must never SIGILL a device.
 //
-// The f32 fast path, the i8 quantized path and the f64 moment pass (its
+// The f32 fast path, the i8 quantized path, the f64 moment pass (its
 // dropout-linear, conv1d and PWL activation tiles, kernel_body_f64.inl)
-// route through this table; the rest of the f64 path (nn, training,
-// MCDrop) keeps default flags. Every dispatched kernel keeps the
-// per-output-element accumulation order of the serial loops, so results
-// are bit-identical across thread counts *within* a backend (across
-// backends they agree to documented tolerances — FMA contraction and
-// vector shuffles change rounding, not math). The scalar tier has no FMA,
-// so its f64 moment tile is bit-identical to the plain f64 GEMM against W
-// and square(W). The f64 activation tile replaces libm erfc/exp with a
-// branch-free rational/polynomial pair on every tier, scalar included;
-// it stays within ~2e-16 of libm per boundary (docs/PERFORMANCE.md).
+// and the batched MCDrop pass (the f64 GEMM tile) route through this
+// table; the rest of the f64 path (nn, training, the per-sample
+// Mlp::forward_stochastic reference) keeps default flags in
+// tensor/gemm.cpp. Every dispatched kernel keeps the per-output-element
+// accumulation order of the serial loops, so results are bit-identical
+// across thread counts *within* a backend (across backends they agree to
+// documented tolerances — FMA contraction and vector shuffles change
+// rounding, not math). The scalar tier has no FMA, so its f64 moment tile
+// is bit-identical to the plain f64 GEMM against W and square(W), and its
+// f64 GEMM tile to that GEMM. The f64 activation tile replaces libm
+// erfc/exp with a branch-free rational/polynomial pair on every tier,
+// scalar included; it stays within ~2e-16 of libm per boundary
+// (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstddef>
@@ -218,6 +221,19 @@ struct KernelOps {
                                double keep_prob, std::size_t t0,
                                std::size_t t1, double* out_mean,
                                double* out_var);
+
+  /// C[i0:i1, j0:j1] = A[i0:i1, :] B[:, j0:j1]; A is m x k, B k x n, C
+  /// m x n, all row-major (the batched MCDrop pass: k stochastic passes
+  /// stacked as rows). Register-blocked: a block of rows x native vectors
+  /// of columns keeps its accumulators in registers across the whole k
+  /// loop. Per element one accumulator starts at +0 and adds its terms in
+  /// ascending k, with no zero-input skip, so the scalar tier is
+  /// bit-identical to gemm_buffers(double) and any split of the output is
+  /// too; avx2/avx512 differ from it only by FMA contraction. No heap
+  /// allocation.
+  void (*gemm_tile_f64)(const double* a, const double* b, double* c,
+                        std::size_t k, std::size_t n, std::size_t i0,
+                        std::size_t i1, std::size_t j0, std::size_t j1);
 };
 
 /// The table bound to the globally resolved backend.

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,6 +27,7 @@
 #include "moment_reference.h"
 #include "nn/mlp.h"
 #include "platform/thread_pool.h"
+#include "tensor/gemm.h"
 #include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
@@ -160,6 +162,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.act_tile_f64, nullptr);
     EXPECT_NE(ops.moment_tile_f64, nullptr);
     EXPECT_NE(ops.moment_conv_tile_f64, nullptr);
+    EXPECT_NE(ops.gemm_tile_f64, nullptr);
   }
 }
 
@@ -517,6 +520,54 @@ Mlp small_net(Rng& rng) {
   spec.hidden_act = Activation::kTanh;
   spec.hidden_keep_prob = 0.9;
   return Mlp::make(spec, rng);
+}
+
+// The f64 GEMM tile of the batched MCDrop pass against the default-flags
+// gemm_buffers(double) it must reproduce: on ragged shapes (m 1, 7, 50 and
+// 65 around every tier's row block; n below, between and past the register
+// block widths; k below the 8-way jam and odd), with exact +0.0 and -0.0
+// inputs (dropped units, which gemm_buffers skips and the tile adds). The
+// scalar tier matches byte for byte, avx2/avx512 within 1e-12 scaled; and
+// every tier gives the same bits when the output is split into uneven row
+// and column ranges.
+TEST(KernelAgreement, GemmTileF64MatchesReferenceGemm) {
+  Rng rng(59);
+  for (const std::size_t m : {1, 7, 50, 65}) {
+    for (const std::size_t n : {1, 13, 37, 100}) {
+      for (const std::size_t k : {1, 3, 7, 129}) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        Matrix a(m, k), b(k, n);
+        for (double& v : a.flat()) v = rng.normal();
+        for (double& v : b.flat()) v = rng.normal();
+        for (std::size_t i = 0; i < a.size(); i += 3)
+          a.data()[i] = (i % 2 == 0) ? 0.0 : -0.0;
+        Matrix want(m, n);
+        gemm_buffers(a.data(), b.data(), want.data(), m, k, n,
+                     /*accumulate=*/false);
+        for (const KernelBackend back : supported_backends()) {
+          const KernelOps& ops = kernel_ops(back);
+          Matrix whole(m, n, 7.0);
+          ops.gemm_tile_f64(a.data(), b.data(), whole.data(), k, n, 0, m, 0,
+                            n);
+          if (back == KernelBackend::kScalar) {
+            EXPECT_TRUE(bytes_equal(whole, want));
+          }
+          EXPECT_LE(max_scaled_diff(want, whole), 1e-12)
+              << kernel_backend_name(back);
+          Matrix split(m, n, 7.0);
+          const std::size_t im = m / 3, jm = n / 2 + 1;
+          for (const auto& [i0, i1] : {std::pair{std::size_t{0}, im},
+                                       std::pair{im, m}})
+            for (const auto& [j0, j1] : {std::pair{std::size_t{0}, jm},
+                                         std::pair{jm, n}})
+              if (i0 < i1 && j0 < j1)
+                ops.gemm_tile_f64(a.data(), b.data(), split.data(), k, n, i0,
+                                  i1, j0, j1);
+          EXPECT_TRUE(bytes_equal(whole, split)) << kernel_backend_name(back);
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelAgreement, FusedF32PropagateMatchesScalarBackend) {

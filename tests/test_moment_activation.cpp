@@ -234,9 +234,10 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
   // Huge variances (1e20, 1e30): each finite piece's partial moments are
   // clamped to their exact bounds, so a saturating surrogate returns its
   // two-point limit — half the mass in each constant tail — instead of
-  // rounding noise scaled by sigma^2, in the batch path at every tier and
-  // in activation_moments. relu's two pieces are unbounded, so it keeps
-  // the plain closed form.
+  // rounding noise scaled by sigma^2, in the f64 and f32 batch paths at
+  // every tier and in activation_moments. relu's two pieces are unbounded,
+  // so it keeps the plain closed form. The f32 tile's polynomial pdf/cdf
+  // hold it to 1e-5 relative there.
   for (const Activation act :
        {Activation::kTanh, Activation::kSigmoid, Activation::kRelu}) {
     SCOPED_TRACE(activation_name(act));
@@ -252,6 +253,9 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
           double m = mu;
           double v = var;
           moment_activation_batch(f, &m, &v, 1);
+          float m32 = static_cast<float>(mu);
+          float v32 = static_cast<float>(var);
+          moment_activation_batch(f, &m32, &v32, 1);
           const ScalarMoments single = activation_moments(f, mu, var);
           if (act == Activation::kRelu) {
             const double sigma = std::sqrt(var);
@@ -266,12 +270,16 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
               EXPECT_LE(std::fabs(got - ey) / ey, 1e-12);
             for (const double got : {v, single.var})
               EXPECT_LE(std::fabs(got - vy) / vy, 1e-12);
+            EXPECT_LE(std::fabs(m32 - ey) / ey, 1e-5);
+            EXPECT_LE(std::fabs(v32 - vy) / vy, 1e-5);
           } else {
             const double half_gap = 0.5 * (c_hi - c_lo);
             for (const double got : {m, single.mean})
               EXPECT_NEAR(got, 0.5 * (c_lo + c_hi), 1e-6);
             for (const double got : {v, single.var})
               EXPECT_NEAR(got, half_gap * half_gap, 1e-6);
+            EXPECT_NEAR(m32, 0.5 * (c_lo + c_hi), 1e-5);
+            EXPECT_NEAR(v32, half_gap * half_gap, 1e-5);
           }
         }
     }

@@ -43,7 +43,7 @@ TEST(TraceExport, QuickstartEmitsParseableNonEmptyTrace) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"apd.layer\""), std::string::npos);
   EXPECT_NE(json.find("\"train.epoch\""), std::string::npos);
-  EXPECT_NE(json.find("\"mcdrop.sample\""), std::string::npos);
+  EXPECT_NE(json.find("\"mcdrop.group\""), std::string::npos);
 
   // The session also prints the aggregate p50/p95 table.
   const std::string stdout_text = read_file("quickstart_trace_e2e.out");

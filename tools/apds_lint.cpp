@@ -1445,6 +1445,7 @@ bool is_hot_path_root(const FuncDef& def) {
       "moment_activation_batch",
       "moment_conv1d_linear_into",
       "moment_rnn",
+      "mcdrop_forward_group",
   };
   for (const char* root : kBareRoots)
     if (def.bare == root) return true;
