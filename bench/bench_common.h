@@ -17,8 +17,9 @@ namespace apds::bench {
 
 // Every bench main routes argc/argv through obs::ObsSession (constructed
 // first thing in main), which parses and strips the shared observability
-// flags — see obs/run_options.h. Run any bench with `--trace out.json` to
-// get a Chrome-trace of the full run plus an aggregate p50/p95 span table.
+// flags — see obs/run_options.h. Run any bench with `--obs-dir <dir>` to
+// get a Chrome-trace of the full run (<dir>/trace.json) plus an aggregate
+// p50/p95 span table, and the other artifacts apds_report reads.
 
 /// Zoo with the paper's 512-wide architecture; model cache defaults to
 /// ./models (override with APDS_MODEL_DIR).

@@ -5,7 +5,7 @@
 // Before the google-benchmark suite, a short apds::measure() summary of the
 // two moment kernels is printed with the full TimingResult spread
 // (median/mean/p95/stddev), so kernel-latency tails are visible without
-// gbench's repetition machinery. Supports the shared --trace/--metrics/
+// gbench's repetition machinery. Supports the shared --obs-dir/
 // --log-level/--threads flags (stripped before gbench sees argv), plus
 // `--json <path>`: measure the batched hot kernels at pool widths 1 and N
 // (N = --threads / APDS_THREADS / hardware) and write name/mean/p50/p95
@@ -543,7 +543,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     });
     // Profiling-off counter-region overhead: 64k gated PerfCounterRegion
     // entries. The default constructor must stay one relaxed load when
-    // --profile is off; this row gates that (the analogue of
+    // --obs-dir is off; this row gates that (the analogue of
     // trace_span_overhead for the hardware-counter layer).
     record("perf_region_overhead", [&] {
       std::uint64_t sink = 0;

@@ -1,6 +1,6 @@
 // Shared main() body for the Figure 2–5 (inference time + energy) benches.
 //
-// Besides the shared --trace/--metrics/--log-level/--threads flags, accepts
+// Besides the shared --obs-dir/--log-level/--threads flags, accepts
 // `--json <path>`: write the per-config SystemRow table (config, flops,
 // modelled Edison time/energy, measured host time) as JSON so the perf
 // trajectory is machine-readable across PRs.

@@ -2,6 +2,8 @@
 // 2-second arterial-pressure waveform from a fingertip PPG waveform and
 // report systolic/diastolic estimates with confidence intervals. A clinical
 // consumer of this output needs the interval at least as much as the value.
+// Takes only the shared flags (obs/run_options.h); `--obs-dir <dir>` writes
+// the run's calibration monitor and flight records there.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
 
   // The clinical consumer trusts the interval, so its calibration is a
   // serving-health signal: stream the labelled waveform predictions into
-  // the calibration monitor (exported with --health).
+  // the calibration monitor (health.json under --obs-dir).
   obs::HealthMonitor::instance().calibration().observe_batch(
       pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 

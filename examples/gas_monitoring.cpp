@@ -3,6 +3,8 @@
 // point estimate alone — this example raises an alarm only when the UPPER
 // confidence bound of the CO estimate crosses a threshold, and flags
 // low-confidence readings for re-measurement instead of silently guessing.
+// Takes only the shared flags (obs/run_options.h); `--obs-dir <dir>` writes
+// the run's calibration monitor and flight records there.
 #include <cmath>
 #include <iostream>
 #include <utility>
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
 
   // Safety decisions downstream of the interval make its calibration a
   // serving-health concern: stream every labelled reading into the
-  // calibration monitor (exported with --health).
+  // calibration monitor (health.json under --obs-dir).
   obs::HealthMonitor::instance().calibration().observe_batch(
       pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 

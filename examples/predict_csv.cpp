@@ -4,13 +4,12 @@
 // uncertainty at inference).
 //
 //   predict_csv <model.apds> <inputs.csv> <outputs.csv> [--classify]
-//               [--labels labels.csv] [--trace trace.json]
-//               [--metrics metrics.json] [--health health.json]
-//               [--log-level lvl]
+//               [--labels labels.csv] [--obs-dir dir] [--log-level lvl]
 //
 // `--labels <csv>` streams ground-truth targets (regression only) into the
 // process-wide calibration monitor, so the run reports windowed empirical
-// coverage and Gaussian NLL — and `--health` exports the snapshot.
+// coverage and Gaussian NLL — and `--obs-dir` exports the snapshot
+// (health.json).
 //
 // Run with no arguments for a self-contained demo: it trains a small model
 // on the synthetic gas-sensing task, saves it, exports sample inputs and

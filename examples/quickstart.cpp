@@ -5,13 +5,14 @@
 // Build & run:   cmake -B build -G Ninja && cmake --build build
 //                ./build/examples/quickstart
 //
-// Pass `--trace out.json` to capture a Chrome-trace of the whole run
-// (training epochs, per-layer inference spans, request-scoped span trees),
-// `--health h.json` to export the streaming health snapshot (windowed
-// calibration coverage/NLL, input drift, alerts), `--metrics m.json` for
-// the counters and the request-latency histogram with its exemplars, or
-// `--flight f.json` to dump the flight recorder's per-request ring — see
-// docs/OBSERVABILITY.md. The example takes no other arguments.
+// Pass `--obs-dir obs` to write the run's observability artifacts into
+// obs/: a Chrome-trace of the whole run (training epochs, per-layer
+// inference spans, request-scoped span trees), the streaming health
+// snapshot (windowed calibration coverage/NLL, input drift, alerts), the
+// counters and the request-latency histogram with its exemplars, the
+// flight recorder's per-request ring and the sampling profile. Read them
+// with `tools/apds_report obs` — see docs/OBSERVABILITY.md. The example
+// takes no other arguments.
 #include <cmath>
 #include <iostream>
 #include <utility>
@@ -75,9 +76,9 @@ int main(int argc, char** argv) {
   // 5. Online health monitoring: stream a held-out set through the model
   //    the way a deployment would, feeding the process-wide HealthMonitor —
   //    input drift against the training distribution and (labels being
-  //    available here) windowed calibration coverage/NLL. Export with
-  //    --health; request latencies land in the `request.latency_ms`
-  //    histogram (--metrics).
+  //    available here) windowed calibration coverage/NLL, exported to
+  //    health.json under --obs-dir; request latencies land in the
+  //    `request.latency_ms` histogram (metrics.json).
   {
     obs::HealthMonitor& health = obs::HealthMonitor::instance();
     const std::size_t n_train = x.rows();

@@ -198,7 +198,7 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
     span.set_args("\"session\":" + std::to_string(id_) + ",\"precision\":\"" +
                   precision_name(config_.precision) +
                   "\",\"batch\":" + std::to_string(batch));
-  // One relaxed load when profiling is off; under --profile this pass's
+  // One relaxed load when profiling is off; under --obs-dir this pass's
   // counters attribute to the dispatched kernel backend.
   obs::PerfCounterRegion perf_region;
   if (obs::RequestScope* scope = obs::RequestScope::current())

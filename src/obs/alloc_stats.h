@@ -11,8 +11,7 @@
 //
 // RequestScope snapshots the calling thread's counters at construction and
 // publishes the delta (allocs/bytes) with the flight record, which is how
-// `apds_trace_report --request` and `apds_profile_report` surface
-// per-request allocation counts. The hooks are always compiled in (the
+// `apds_report` surfaces per-request allocation counts. The hooks are always compiled in (the
 // delta is two loads); there is no flag to disable them.
 //
 // The replacement functions live in alloc_stats.cpp, the same translation

@@ -56,10 +56,8 @@ void FlightRecorder::record(const RequestRecord& record) {
   slot.seq.store(2 * serial + 2, std::memory_order_release);
 
   if (g_dump_requested.exchange(false, std::memory_order_relaxed)) {
-    std::string path = dump_path();
-    if (path.empty()) path = "apds_flight.json";
     try {
-      write_json_file(path);
+      const std::string path = dump();
       APDS_INFO("flight recorder dumped to " << path << " (SIGUSR1)");
     } catch (const std::exception& e) {
       APDS_WARN("flight recorder dump failed: " << e.what());
@@ -146,25 +144,33 @@ void FlightRecorder::write_json_file(const std::string& path) const {
   if (!os) throw IoError("flight file write failure: " + path);
 }
 
+std::string FlightRecorder::dump() const {
+  const std::string dir = dump_dir();
+  const std::string path =
+      dir.empty() ? "apds_flight.json" : dir + "/flight.json";
+  write_json_file(path);
+  return path;
+}
+
 void FlightRecorder::on_alert() {
   alerts_.fetch_add(1, std::memory_order_relaxed);
-  const std::string path = dump_path();
-  if (path.empty()) return;
+  const std::string dir = dump_dir();
+  if (dir.empty()) return;
   try {
-    write_json_file(path + ".alert");
+    write_json_file(dir + "/flight.alert.json");
   } catch (const std::exception& e) {
     APDS_WARN("flight recorder alert dump failed: " << e.what());
   }
 }
 
-void FlightRecorder::set_dump_path(const std::string& path) {
+void FlightRecorder::set_dump_dir(const std::string& dir) {
   MutexLock lock(&dump_mu_);
-  dump_path_ = path;
+  dump_dir_ = dir;
 }
 
-std::string FlightRecorder::dump_path() const {
+std::string FlightRecorder::dump_dir() const {
   MutexLock lock(&dump_mu_);
-  return dump_path_;
+  return dump_dir_;
 }
 
 void FlightRecorder::install_sigusr1_handler() {

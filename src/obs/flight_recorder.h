@@ -8,8 +8,9 @@
 // (one fetch_add) and publishes it through a per-slot seqlock whose fields
 // are all relaxed atomics, so recording never blocks and readers
 // (snapshot/dump) never block writers. Dumps are written as JSON on
-// session exit (`--flight out.json`), on any raised health Alert
-// (`out.json.alert`), and on SIGUSR1 (at the next completed request).
+// session exit (`<obs-dir>/flight.json`), on any raised health Alert
+// (`<obs-dir>/flight.alert.json`), and on SIGUSR1 (at the next completed
+// request).
 //
 // RequestScope is the producer: an RAII frame around one inference request
 // that allocates the request id, installs the trace context (so per-layer
@@ -39,7 +40,7 @@ inline constexpr std::size_t kFlightMaxLayers = 16;
 
 /// One completed request, plain data. start_us is on the TraceCollector
 /// timeline (microseconds since collector epoch) so records join up with
-/// `--trace` spans.
+/// trace.json spans.
 struct RequestRecord {
   std::uint64_t request_id = 0;
   double start_us = 0.0;
@@ -93,19 +94,24 @@ class FlightRecorder {
   std::string to_json() const;
   /// Throws IoError on failure.
   void write_json_file(const std::string& path) const;
+  /// Write the ring to `<dir>/flight.json`, or to "apds_flight.json" in
+  /// the working directory when no dump directory is set; returns the
+  /// path written. Throws IoError on failure.
+  std::string dump() const;
 
-  /// Count an alert against the requests in flight and, when a dump path
-  /// is configured, dump the ring to `<path>.alert` — the post-hoc view of
-  /// the requests surrounding the incident. Called by AlertSink::raise.
+  /// Count an alert against the requests in flight and, when a dump
+  /// directory is set, dump the ring to `<dir>/flight.alert.json` — the
+  /// post-hoc view of the requests surrounding the incident. Called by
+  /// AlertSink::raise.
   void on_alert();
   std::uint64_t alerts_raised() const {
     return alerts_.load(std::memory_order_relaxed);
   }
 
-  /// Where dumps go (`--flight` wires this); empty disables alert dumps
-  /// and makes SIGUSR1 dumps fall back to "apds_flight.json".
-  void set_dump_path(const std::string& path);
-  std::string dump_path() const;
+  /// Directory dumps go to (`--obs-dir` wires this); empty disables
+  /// alert dumps and sends dump() to the working directory.
+  void set_dump_dir(const std::string& dir);
+  std::string dump_dir() const;
 
   /// Install a SIGUSR1 handler that requests a dump; the dump itself is
   /// written by the next record() call (signal context only sets a flag).
@@ -148,7 +154,7 @@ class FlightRecorder {
   std::atomic<std::uint64_t> alerts_{0};
 
   mutable Mutex dump_mu_;
-  std::string dump_path_ APDS_GUARDED_BY(dump_mu_);
+  std::string dump_dir_ APDS_GUARDED_BY(dump_mu_);
 };
 
 /// RAII frame for one inference request. Construct before running the

@@ -1,9 +1,9 @@
 // HealthMonitor: process-wide aggregate of the streaming monitors in
 // obs/monitor.h, with point-in-time snapshots exportable as JSON
-// (`--health out.json`) — the serving-side counterpart of the offline
+// (`health.json` under `--obs-dir`) — the serving-side counterpart of the offline
 // tables/figures: uncertainty quality (coverage, NLL) and input drift,
 // observable while the system runs. Latency lives in the
-// `request.latency_ms` histogram of the metrics registry (`--metrics`).
+// `request.latency_ms` histogram of the metrics registry.
 #pragma once
 
 #include <iosfwd>
@@ -38,7 +38,7 @@ struct HealthSnapshot {
 
 /// Process-wide owner of one monitor of each kind sharing one AlertSink,
 /// mirroring MetricsRegistry::instance(). Call sites feed the individual
-/// monitors; ObsSession snapshots and exports on exit when `--health`
+/// monitors; ObsSession snapshots and exports on exit when `--obs-dir`
 /// was passed.
 class HealthMonitor {
  public:

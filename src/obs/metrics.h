@@ -1,6 +1,6 @@
 // Named counters, gauges, and fixed-bucket latency histograms for the
-// inference stack, exportable as JSON (`--metrics out.json` on benches and
-// examples). Complements the span tracing in obs/trace.h: spans answer
+// inference stack, exportable as JSON (`metrics.json` under `--obs-dir` on
+// benches and examples). Complements the span tracing in obs/trace.h: spans answer
 // "where did the time go", metrics answer "how many / how much".
 #pragma once
 
@@ -48,8 +48,8 @@ class Gauge {
 
 /// Most recent (request id, value) pair that landed in one histogram
 /// bucket — the exemplar linking a latency bucket back to a replayable
-/// request trace (exported in the `--metrics` JSON; resolve it with
-/// `apds_trace_report --request <id>`). request_id 0 means the bucket has
+/// request trace (exported in `metrics.json`; resolve it with
+/// `apds_report <obs-dir> --request <id>`). request_id 0 means the bucket has
 /// none.
 struct Exemplar {
   std::uint64_t request_id = 0;

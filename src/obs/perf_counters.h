@@ -26,7 +26,7 @@
 // off (bench-gated by the `perf_region_overhead` micro_kernels row), and
 // when on it accumulates the region's deltas into the process-wide
 // KernelPerfTable keyed by the dispatched kernel backend — the
-// cycles-level attribution behind `apds_profile_report`'s per-backend
+// cycles-level attribution behind `apds_report`'s per-backend
 // IPC/miss tables. The explicit (PerfCounterValues* out) form bypasses the
 // gate for deliberate measurements (bench rows).
 //
@@ -118,7 +118,7 @@ class PerfCounterGroup {
 };
 
 /// Process-wide switch the default-constructed regions are gated on.
-/// ObsSession turns it on for `--profile` runs (or APDS_PERF=on).
+/// ObsSession turns it on for `--obs-dir` runs (or APDS_PERF=on).
 void set_perf_profiling(bool on);
 bool perf_profiling_enabled();
 
@@ -138,7 +138,7 @@ class KernelPerfTable {
   /// Publish per-backend gauges (`perf.<backend>.ipc`,
   /// `perf.<backend>.cache_miss_rate`, `perf.<backend>.cycles`,
   /// `perf.<backend>.regions`) into the MetricsRegistry for backends that
-  /// recorded at least one region — they ride the --metrics export.
+  /// recorded at least one region — they ride the metrics.json export.
   void publish_metrics() const;
 
   void reset();

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
+#include <system_error>
 #include <vector>
 
 #include "common/error.h"
@@ -47,16 +49,8 @@ ObsOptions parse_obs_flags(int& argc, char** argv) {
   };
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--trace") {
-      options.trace_path = take_value("--trace");
-    } else if (arg == "--metrics") {
-      options.metrics_path = take_value("--metrics");
-    } else if (arg == "--health") {
-      options.health_path = take_value("--health");
-    } else if (arg == "--flight") {
-      options.flight_path = take_value("--flight");
-    } else if (arg == "--profile") {
-      options.profile_path = take_value("--profile");
+    if (arg == "--obs-dir") {
+      options.obs_dir = take_value("--obs-dir");
     } else if (arg == "--log-level") {
       set_log_level(parse_level(take_value("--log-level")));
     } else if (arg == "--threads") {
@@ -88,15 +82,10 @@ ObsOptions parse_obs_flags(int& argc, char** argv) {
 }
 
 const char* obs_flags_help() {
-  return "  --trace <file>      write Chrome-trace JSON + aggregate table\n"
-         "  --metrics <file>    write metrics (counters/gauges) JSON\n"
-         "  --health <file>     write health snapshot JSON (calibration,\n"
-         "                      drift, alerts)\n"
-         "  --flight <file>     write flight-recorder request ring as JSON\n"
-         "                      (alert dumps go to <file>.alert)\n"
-         "  --profile <file>    sampling profiler + hardware counter regions;\n"
-         "                      writes profile JSON to <file>, collapsed\n"
-         "                      stacks to <file>.folded (flamegraph.pl input)\n"
+  return "  --obs-dir <dir>     trace + profile the run; write trace.json,\n"
+         "                      metrics.json, health.json, flight.json,\n"
+         "                      profile.json and profile.folded into <dir>\n"
+         "                      (read them with tools/apds_report <dir>)\n"
          "  --log-level <lvl>   debug|info|warn|error|off\n"
          "  --threads <n>       thread-pool width (1 = serial; default\n"
          "                      APDS_THREADS env, then hardware)\n"
@@ -117,8 +106,14 @@ bool only_obs_flags(int argc, char** argv) {
 }
 
 ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
-  if (options_.tracing()) TraceCollector::instance().set_enabled(true);
-  if (options_.profiling()) {
+  if (!options_.obs_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options_.obs_dir, ec);
+    if (!std::filesystem::is_directory(options_.obs_dir))
+      throw InvalidArgument("--obs-dir: '" + options_.obs_dir +
+                            "' is not a directory" +
+                            (ec ? " (" + ec.message() + ")" : ""));
+    TraceCollector::instance().set_enabled(true);
     // Hooks must be installed before anything below forces the global
     // pool's construction (the pool.threads gauge does), so workers
     // register with the profiler as they start.
@@ -126,6 +121,7 @@ ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
                             &SamplingProfiler::unregister_current_thread);
     SamplingProfiler::instance().start();
     set_perf_profiling(true);  // arm the kernel-dispatch counter regions
+    FlightRecorder::instance().set_dump_dir(options_.obs_dir);
   }
   if (options_.threads > 0) set_global_threads(options_.threads);
   if (options_.precision) set_global_precision(*options_.precision);
@@ -135,12 +131,10 @@ ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
   MetricsRegistry::instance().gauge("run.precision_f32").set(
       global_precision() == Precision::kF32 ? 1.0 : 0.0);
   // Which kernel tier serves traffic (0 = scalar, 1 = avx2, 2 = avx512 —
-  // the KernelBackend enum values), visible in --metrics dumps.
+  // the KernelBackend enum values), visible in metrics.json.
   MetricsRegistry::instance().gauge("kernel.dispatch_backend").set(
       static_cast<double>(static_cast<int>(global_kernel_backend())));
-  if (!options_.flight_path.empty())
-    FlightRecorder::instance().set_dump_path(options_.flight_path);
-  // SIGUSR1 dumps work even without --flight (default apds_flight.json).
+  // SIGUSR1 dumps work even without --obs-dir (to apds_flight.json).
   FlightRecorder::install_sigusr1_handler();
 }
 
@@ -148,57 +142,46 @@ ObsSession::ObsSession(int& argc, char** argv)
     : ObsSession(parse_obs_flags(argc, argv)) {}
 
 ObsSession::~ObsSession() {
+  if (options_.obs_dir.empty()) return;
   try {
-    if (options_.profiling()) {
-      SamplingProfiler& profiler = SamplingProfiler::instance();
-      profiler.stop();
-      set_perf_profiling(false);
-      // The per-backend counter gauges ride the --metrics export
-      // below, so publish before those writers run.
-      KernelPerfTable::instance().publish_metrics();
-      write_profile_files(options_.profile_path);
-      const auto rep = profiler.report();
-      std::cout << "profile: " << rep.samples << " samples ("
-                << rep.dropped << " dropped) across " << rep.threads
-                << " thread(s), hardware counters "
-                << perf_availability_name(perf_availability()) << "\n";
-      const std::size_t top = std::min<std::size_t>(10, rep.self_time.size());
-      for (std::size_t i = 0; i < top; ++i) {
-        const auto& entry = rep.self_time[i];
-        std::cout << "  " << entry.samples << " (" << std::fixed
-                  << std::setprecision(1) << entry.fraction * 100.0
-                  << "%) " << entry.symbol << "\n";
-        std::cout.unsetf(std::ios::fixed);
-      }
-      std::cout << "profile written to " << options_.profile_path << " (+"
-                << options_.profile_path << ".folded for flamegraph.pl)\n";
+    const std::filesystem::path dir(options_.obs_dir);
+    auto in_dir = [&](const char* name) { return (dir / name).string(); };
+    SamplingProfiler& profiler = SamplingProfiler::instance();
+    profiler.stop();
+    set_perf_profiling(false);
+    // The per-backend counter gauges ride metrics.json, so publish before
+    // that writer runs.
+    KernelPerfTable::instance().publish_metrics();
+    write_profile_files(in_dir("profile.json"), in_dir("profile.folded"));
+    const auto rep = profiler.report();
+    std::cout << "profile: " << rep.samples << " samples (" << rep.dropped
+              << " dropped) across " << rep.threads
+              << " thread(s), hardware counters "
+              << perf_availability_name(perf_availability()) << "\n";
+    const std::size_t top = std::min<std::size_t>(10, rep.self_time.size());
+    for (std::size_t i = 0; i < top; ++i) {
+      const auto& entry = rep.self_time[i];
+      std::cout << "  " << entry.samples << " (" << std::fixed
+                << std::setprecision(1) << entry.fraction * 100.0 << "%) "
+                << entry.symbol << "\n";
+      std::cout.unsetf(std::ios::fixed);
     }
-    if (options_.tracing()) {
-      TraceCollector& collector = TraceCollector::instance();
-      collector.set_enabled(false);
-      collector.write_chrome_trace_file(options_.trace_path);
-      collector.print_aggregate(std::cout);
-      std::cout << "trace written to " << options_.trace_path
-                << " (load in chrome://tracing or ui.perfetto.dev)\n";
-    }
-    if (!options_.metrics_path.empty()) {
-      MetricsRegistry::instance().write_json_file(options_.metrics_path);
-      std::cout << "metrics written to " << options_.metrics_path << "\n";
-    }
-    if (options_.health_export()) {
-      const HealthSnapshot snap = HealthMonitor::instance().snapshot();
-      snap.write_json_file(options_.health_path);
-      std::cout << "health snapshot written to " << options_.health_path
-                << "\n";
-      if (!snap.alerts.empty())
-        std::cout << "health: " << snap.alerts.size()
-                  << " alert(s) raised during this run\n";
-    }
-    if (!options_.flight_path.empty()) {
-      FlightRecorder::instance().write_json_file(options_.flight_path);
-      std::cout << "flight records written to " << options_.flight_path
-                << "\n";
-    }
+
+    TraceCollector& collector = TraceCollector::instance();
+    collector.set_enabled(false);
+    collector.write_chrome_trace_file(in_dir("trace.json"));
+    collector.print_aggregate(std::cout);
+
+    MetricsRegistry::instance().write_json_file(in_dir("metrics.json"));
+    const HealthSnapshot snap = HealthMonitor::instance().snapshot();
+    snap.write_json_file(in_dir("health.json"));
+    if (!snap.alerts.empty())
+      std::cout << "health: " << snap.alerts.size()
+                << " alert(s) raised during this run\n";
+    FlightRecorder::instance().dump();  // <dir>/flight.json
+    std::cout << "observability artifacts written to " << dir.string()
+              << " (read them with tools/apds_report " << dir.string()
+              << "; trace.json loads in ui.perfetto.dev)\n";
   } catch (const std::exception& e) {
     APDS_ERROR("observability export failed: " << e.what());
   }

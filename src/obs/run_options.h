@@ -1,21 +1,14 @@
 // Shared command-line runtime flags for benches and examples:
 //
-//   --trace <file>      enable span tracing; write Chrome-trace JSON and
-//                       print the aggregate p50/p95 table on exit
-//   --metrics <file>    write the MetricsRegistry JSON on exit
-//   --health <file>     write the HealthMonitor snapshot JSON on exit
-//                       (calibration coverage/NLL, drift z-scores,
-//                       alerts)
-//   --flight <file>     write the flight-recorder ring (last N completed
-//                       requests) as JSON on exit; also enables the
-//                       alert-triggered dump to <file>.alert
-//   --profile <file>    enable the sampling profiler and hardware counter
-//                       regions for the whole run; on exit write the
-//                       profile JSON (self-time table, collapsed stacks,
-//                       per-kernel-backend counter tables) to <file>, the
-//                       raw collapsed stacks to <file>.folded, and print
-//                       the top self-time entries (see
-//                       tools/apds_profile_report)
+//   --obs-dir <dir>     trace and profile the whole run (spans, sampling
+//                       profiler, hardware counter regions); on exit write
+//                       into <dir> (created when missing) trace.json
+//                       (Chrome trace; the p50/p95 span table is printed
+//                       too), metrics.json, health.json (calibration,
+//                       drift, alerts), flight.json (last N requests;
+//                       flight.alert.json at each alert), profile.json and
+//                       profile.folded (flamegraph.pl input).
+//                       `tools/apds_report <dir>` reads them back.
 //   --log-level <lvl>   debug | info | warn | error | off
 //   --threads <n>       width of the global thread pool (1 = serial).
 //                       Precedence: --threads > APDS_THREADS env >
@@ -44,19 +37,12 @@
 namespace apds::obs {
 
 struct ObsOptions {
-  std::string trace_path;    ///< empty = tracing stays disabled
-  std::string metrics_path;  ///< empty = no metrics export
-  std::string health_path;   ///< empty = no health-snapshot JSON export
-  std::string flight_path;   ///< empty = no flight-recorder exit dump
-  std::string profile_path;  ///< empty = profiling stays off
-  std::size_t threads = 0;   ///< 0 = APDS_THREADS env / hardware default
+  std::string obs_dir;      ///< empty = no tracing, profiling or exports
+  std::size_t threads = 0;  ///< 0 = APDS_THREADS env / hardware default
   /// --precision; unset = APDS_PRECISION env / f64 default.
   std::optional<Precision> precision;
   /// --kernel; unset = APDS_KERNEL env / CPUID probe.
   std::optional<KernelBackend> kernel;
-  bool tracing() const { return !trace_path.empty(); }
-  bool profiling() const { return !profile_path.empty(); }
-  bool health_export() const { return !health_path.empty(); }
 };
 
 /// Parse and strip the observability flags from argv (argc is compacted;
@@ -74,14 +60,15 @@ const char* obs_flags_help();
 /// arguments of their own then exit 2, so a mistyped flag fails loudly.
 bool only_obs_flags(int argc, char** argv);
 
-/// RAII wiring: enables tracing on construction when options ask for it,
+/// RAII wiring: with --obs-dir, creates the directory (InvalidArgument
+/// when the path exists but is not a directory), enables tracing and
+/// profiling and points the flight recorder's alert dumps at it; always
 /// configures the global thread pool (--threads), inference precision
 /// (--precision) and kernel ISA tier (--kernel), publishes the
 /// `pool.threads`, `run.precision_f32` and `kernel.dispatch_backend`
-/// gauges, points the flight recorder at --flight's path and installs its
-/// SIGUSR1 dump handler; on destruction writes the Chrome-trace JSON,
-/// prints the aggregate span table to stdout, and writes the metrics,
-/// health and flight-recorder files.
+/// gauges and installs the flight recorder's SIGUSR1 dump handler. On
+/// destruction writes the --obs-dir artifacts and prints the aggregate
+/// span table and the top self-time entries to stdout.
 /// Export errors are logged, never thrown (safe in main()'s unwind path).
 class ObsSession {
  public:

@@ -353,7 +353,7 @@ bool SamplingProfiler::start(std::uint64_t interval_us) {
                       std::memory_order_relaxed);
   APDS_WARN(
       "sampling profiler unavailable on this platform (stub build); "
-      "--profile reports zero samples");
+      "profile.json reports zero samples");
   return false;
 }
 void SamplingProfiler::stop() {}
@@ -425,14 +425,15 @@ void write_profile_json(std::ostream& os) {
   os << "\n]\n}\n";
 }
 
-void write_profile_files(const std::string& path) {
+void write_profile_files(const std::string& json_path,
+                         const std::string& folded_path) {
   {
-    std::ofstream json(path, std::ios::trunc);
-    if (!json) throw IoError("cannot open profile file for writing: " + path);
+    std::ofstream json(json_path, std::ios::trunc);
+    if (!json)
+      throw IoError("cannot open profile file for writing: " + json_path);
     write_profile_json(json);
-    if (!json) throw IoError("profile file write failure: " + path);
+    if (!json) throw IoError("profile file write failure: " + json_path);
   }
-  const std::string folded_path = path + ".folded";
   std::ofstream folded(folded_path, std::ios::trunc);
   if (!folded)
     throw IoError("cannot open folded-stack file for writing: " +

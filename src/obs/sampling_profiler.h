@@ -27,7 +27,7 @@
 // in report()); the output is a collapsed-stack ("folded") flamegraph
 // file — one `frame;frame;...;leaf count` line per unique stack, directly
 // consumable by flamegraph.pl / speedscope — plus a self-time table.
-// Wired to the `--profile <path>` ObsSession flag. Non-Linux builds
+// Wired to the `--obs-dir <dir>` ObsSession flag. Non-Linux builds
 // compile an inert stub with the same API.
 #pragma once
 
@@ -102,13 +102,14 @@ class SamplingProfiler {
   SamplingProfiler() = default;
 };
 
-/// The full `--profile` artifact: sampling report, counter availability,
-/// and the per-kernel-backend counter tables, as one JSON document (the
-/// input `apds_profile_report` consumes).
+/// The full `profile.json` artifact: sampling report, counter
+/// availability, and the per-kernel-backend counter tables, as one JSON
+/// document (the input `apds_report` reads).
 void write_profile_json(std::ostream& os);
 
-/// Write `path` (the JSON above) and `path + ".folded"` (the raw
+/// Write `json_path` (the JSON above) and `folded_path` (the raw
 /// collapsed-stack file). Throws IoError on failure.
-void write_profile_files(const std::string& path);
+void write_profile_files(const std::string& json_path,
+                         const std::string& folded_path);
 
 }  // namespace apds::obs

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -157,10 +158,13 @@ TEST(FlightRecorder, AlertsDuringRequestAreCountedOnItsRecord) {
 }
 
 TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
-  const std::string path = "flight_sigusr1_service_test.json";
+  // ObsSession creates the --obs-dir directory; here the test does.
+  const std::string dir = "flight_sigusr1_service_test";
+  const std::string path = dir + "/flight.json";
+  std::filesystem::create_directories(dir);
   std::remove(path.c_str());
   obs::FlightRecorder::instance().clear();
-  obs::FlightRecorder::instance().set_dump_path(path);
+  obs::FlightRecorder::instance().set_dump_dir(dir);
 
   obs::FlightRecorder::request_dump();  // what the SIGUSR1 handler does
   obs::FlightRecorder::instance().record(make_record(77));
@@ -170,8 +174,17 @@ TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
   EXPECT_TRUE(testing::json_valid(json));
   EXPECT_NE(json.find("\"request_id\":77"), std::string::npos);
 
-  obs::FlightRecorder::instance().set_dump_path("");
+  // An alert dumps the same ring next to it, under its own name.
+  const std::string alert_path = dir + "/flight.alert.json";
+  std::remove(alert_path.c_str());
+  obs::FlightRecorder::instance().on_alert();
+  EXPECT_NE(read_file(alert_path).find("\"request_id\":77"),
+            std::string::npos);
+
+  obs::FlightRecorder::instance().set_dump_dir("");
+  obs::FlightRecorder::instance().clear();
   std::remove(path.c_str());
+  std::remove(alert_path.c_str());
 }
 
 TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {
@@ -193,8 +206,8 @@ TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {
   EXPECT_TRUE(low);
   EXPECT_TRUE(high);
 
-  // The --metrics JSON carries each bucket's exemplar, which is how a tail
-  // bucket links to a trace apds_trace_report can resolve.
+  // metrics.json carries each bucket's exemplar, which is how a tail
+  // bucket links to a trace apds_report --request can resolve.
   const std::string json = MetricsRegistry::instance().to_json();
   EXPECT_TRUE(testing::json_valid(json)) << json;
   const std::size_t at = json.find("\"exemplar.test_ms\":{");

@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.h"
@@ -270,8 +269,8 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
               EXPECT_LE(std::fabs(got - ey) / ey, 1e-12);
             for (const double got : {v, single.var})
               EXPECT_LE(std::fabs(got - vy) / vy, 1e-12);
-            EXPECT_LE(std::fabs(m32 - ey) / ey, 1e-5);
-            EXPECT_LE(std::fabs(v32 - vy) / vy, 1e-5);
+            EXPECT_LE(std::fabs(static_cast<double>(m32) - ey) / ey, 1e-5);
+            EXPECT_LE(std::fabs(static_cast<double>(v32) - vy) / vy, 1e-5);
           } else {
             const double half_gap = 0.5 * (c_hi - c_lo);
             for (const double got : {m, single.mean})
@@ -289,24 +288,21 @@ TEST(MomentActivation, F64BatchHostileLanesFollowTheContractAtEveryTier) {
 // Property sweep: closed-form moments of the PWL surrogate must match
 // Monte-Carlo sampling of the same surrogate for all activations and a
 // range of (mu, sigma).
-//
-// gtest names each case by printing the raw bytes of its ActCase, so every
-// byte must be set: `tag` fills the slot between the 4-byte enum and the
-// first double, which as implicit padding held whatever the stack held and
-// renamed the cases from one build to the next. The tags are the bytes the
-// cases have always been listed under.
 struct ActCase {
   Activation act;
-  std::array<std::uint8_t, 4> tag;
   double mu;
   double sigma;
 };
-static_assert(sizeof(ActCase) == 24, "ActCase must have no padding bytes");
+
+// Names each case "<activation> mu=<mu> sigma=<sigma>" in test listings.
+void PrintTo(const ActCase& c, std::ostream* os) {
+  *os << activation_name(c.act) << " mu=" << c.mu << " sigma=" << c.sigma;
+}
 
 class MomentActivationMc : public ::testing::TestWithParam<ActCase> {};
 
 TEST_P(MomentActivationMc, ClosedFormMatchesSimulation) {
-  const auto [act, tag, mu, sigma] = GetParam();
+  const auto [act, mu, sigma] = GetParam();
   const auto f = PiecewiseLinear::for_activation(act, 7);
   const ScalarMoments predicted =
       activation_moments(f, mu, sigma * sigma);
@@ -327,15 +323,14 @@ TEST_P(MomentActivationMc, ClosedFormMatchesSimulation) {
 INSTANTIATE_TEST_SUITE_P(
     Activations, MomentActivationMc,
     ::testing::Values(
-        ActCase{Activation::kRelu, {0x00, 0x00, 0x00, 0x00}, 0.0, 1.0},
-        ActCase{Activation::kRelu, {0x5F, 0x74, 0x65, 0x73}, -1.5, 0.7},
-        ActCase{Activation::kRelu, {0x00, 0x00, 0x00, 0x00}, 2.0, 3.0},
-        ActCase{Activation::kTanh, {0x00, 0x00, 0x00, 0x00}, 0.0, 1.0},
-        ActCase{Activation::kTanh, {0x00, 0x00, 0xD0, 0xEF}, 1.0, 0.5},
-        ActCase{Activation::kTanh, {0x00, 0x00, 0x00, 0x00}, -2.5, 2.0},
-        ActCase{Activation::kSigmoid, {0x03, 0x1E, 0x09, 0x00}, 0.5, 1.5},
-        ActCase{Activation::kIdentity, {0x00, 0x00, 0xC5, 0xCA}, -3.0,
-                2.0}));
+        ActCase{Activation::kRelu, 0.0, 1.0},
+        ActCase{Activation::kRelu, -1.5, 0.7},
+        ActCase{Activation::kRelu, 2.0, 3.0},
+        ActCase{Activation::kTanh, 0.0, 1.0},
+        ActCase{Activation::kTanh, 1.0, 0.5},
+        ActCase{Activation::kTanh, -2.5, 2.0},
+        ActCase{Activation::kSigmoid, 0.5, 1.5},
+        ActCase{Activation::kIdentity, -3.0, 2.0}));
 
 }  // namespace
 }  // namespace apds

@@ -1,5 +1,5 @@
 // Minimal recursive-descent JSON reader shared by the freestanding tools
-// (bench_compare, apds_trace_report) — just enough for the flat objects and
+// (bench_compare, apds_report) — just enough for the flat objects and
 // arrays the bench/trace/flight writers emit. Throws std::runtime_error on
 // malformed input with a byte offset, so CI logs point at the problem.
 //
