@@ -1,31 +1,29 @@
-// google-benchmark microbenchmarks of the numeric kernels underlying every
-// inference path: GEMM, the dropout-linear moment map, the closed-form
-// activation moments, and whole-network ApDeepSense vs MCDrop passes.
+// Microbenchmarks of the numeric kernels underlying every inference path:
+// GEMM, the dropout-linear moment map, the closed-form activation moments,
+// the fused f32/i8 moment->activation tiles, and whole-network
+// ApDeepSense, MCDrop, conv and RNN passes. Each row is timed with
+// apds::measure() at pool widths 1 and N (N = --threads / APDS_THREADS /
+// hardware) and printed with its mean/p50/p95. Flags: the shared ObsSession
+// flags, `--json <path>` (also write the rows as JSON, so the
+// serial-vs-parallel perf trajectory is machine-readable across changes and
+// bench_compare can gate it) and `--filter <substring>` (run only the rows
+// whose name contains it; a filter that matches no row exits 2 and writes
+// no JSON). Anything else prints the usage and exits 2.
 //
-// Before the google-benchmark suite, a short apds::measure() summary of the
-// two moment kernels is printed with the full TimingResult spread
-// (median/mean/p95/stddev), so kernel-latency tails are visible without
-// gbench's repetition machinery. Supports the shared --obs-dir/
-// --log-level/--threads flags (stripped before gbench sees argv), plus
-// `--json <path>`: measure the batched hot kernels at pool widths 1 and N
-// (N = --threads / APDS_THREADS / hardware) and write name/mean/p50/p95
-// rows as JSON, so the serial-vs-parallel perf trajectory is
-// machine-readable across PRs. Each batched kernel has an explicit `_f32`
-// twin row pinned to the single-precision fast path; `apd_propagate_b64`
-// itself follows the ambient --precision/APDS_PRECISION setting so a
-// second run at f32 exercises the flag wiring end to end. The fused
-// moment->activation tile path and the i8 quantized path get their own
-// rows (moment_act_{fused,unfused}_b64_f32, moment_act_fused_b64_i8,
-// apd_propagate_b64_i8) so bench_compare can gate the fusion and
-// quantization speedup floors. All apd_propagate_* rows run through
-// planned-arena InferenceSessions with a reused output batch, so their
-// `allocs` column is 0 in steady state (bench-smoke gates this via
-// bench_compare --max-allocs apd_propagate_:0), and apd_session_b1_f32
-// times one batch-1 f32 session call (gated at zero allocations by
-// --max-allocs apd_session_:0). conv_propagate_b1 and rnn_b1 time the
-// conv/RNN extensions' in-place forms (gated at 0 by --max-allocs
-// conv_propagate_:0 and rnn_:0), and mcdrop50_predict_b1 the batched
-// MCDrop-50 comparator (gated at its returned predictive's 2 matrices).
+// `apd_propagate_b64` follows the ambient --precision/APDS_PRECISION
+// setting so a second run at f32 exercises the flag wiring end to end;
+// its `_f32`/`_i8` twins pin their precision, and the fused f32 and i8
+// tiles get their own rows (moment_act_fused_b64_{f32,i8}), so
+// bench_compare can gate the f32 and quantization speedup floors against
+// the f64 session. All apd_propagate_* rows run through planned-arena
+// InferenceSessions with a reused output batch, so their `allocs` column
+// is 0 in steady state (bench-smoke gates this via bench_compare
+// --max-allocs apd_propagate_:0), and apd_session_b1_f32 times one
+// batch-1 f32 session call (gated at zero allocations by --max-allocs
+// apd_session_:0). conv_propagate_b1 and rnn_b1 time the conv/RNN
+// extensions' in-place forms (gated at 0 by --max-allocs conv_propagate_:0
+// and rnn_:0), and mcdrop50_predict_b1 the batched MCDrop-50 comparator
+// (gated at its returned predictive's 2 matrices).
 // The JSON header records the resolved
 // kernel ISA tier ("isa") and ambient precision alongside the thread
 // count, so a comparison across reports taken on different machines or
@@ -37,8 +35,6 @@
 // perf_event counter group around the kernel; the `perf_region_overhead`
 // row gates the profiling-off cost of the counter regions the same way
 // trace_span_overhead gates disabled spans.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -62,7 +58,6 @@
 #include "platform/profiler.h"
 #include "platform/thread_pool.h"
 #include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "uncertainty/mcdrop.h"
 
 namespace {
@@ -75,96 +70,12 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   return m;
 }
 
-void BM_Gemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const Matrix a = random_matrix(n, n, rng);
-  const Matrix b = random_matrix(n, n, rng);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          static_cast<std::int64_t>(n * n * n));
+/// Keeps a benchmarked result observable, so the compiler cannot drop the
+/// work that produced it.
+template <typename T>
+void do_not_optimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_GemmF32(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const MatrixF a = to_f32(random_matrix(n, n, rng));
-  const MatrixF b = to_f32(random_matrix(n, n, rng));
-  MatrixF c(n, n);
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          static_cast<std::int64_t>(n * n * n));
-}
-BENCHMARK(BM_GemmF32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_GemmRowVector(benchmark::State& state) {
-  // The single-input inference shape: [1, 512] x [512, 512].
-  Rng rng(2);
-  const Matrix a = random_matrix(1, 512, rng);
-  const Matrix b = random_matrix(512, 512, rng);
-  Matrix c(1, 512);
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_GemmRowVector);
-
-void BM_MomentLinear(benchmark::State& state) {
-  Rng rng(3);
-  DenseLayer layer;
-  layer.weight = random_matrix(512, 512, rng);
-  layer.bias = random_matrix(1, 512, rng);
-  layer.keep_prob = 0.9;
-  MeanVar input(1, 512);
-  for (double& v : input.mean.flat()) v = rng.normal();
-  for (double& v : input.var.flat()) v = std::fabs(rng.normal());
-  for (auto _ : state) {
-    MeanVar out =
-        moment_linear(input, layer.weight, layer.bias, layer.keep_prob);
-    benchmark::DoNotOptimize(out.mean.data());
-  }
-}
-BENCHMARK(BM_MomentLinear);
-
-void BM_ActivationMoments(benchmark::State& state) {
-  const auto pieces = static_cast<std::size_t>(state.range(0));
-  const auto f = PiecewiseLinear::fit_tanh(pieces);
-  Rng rng(4);
-  MeanVar mv(1, 512);
-  for (double& v : mv.mean.flat()) v = rng.normal();
-  for (double& v : mv.var.flat()) v = std::fabs(rng.normal());
-  for (auto _ : state) {
-    MeanVar copy = mv;
-    moment_activation_inplace(f, copy);
-    benchmark::DoNotOptimize(copy.mean.data());
-  }
-}
-BENCHMARK(BM_ActivationMoments)->Arg(3)->Arg(7)->Arg(15);
-
-void BM_ActivationMomentsF32(benchmark::State& state) {
-  const auto pieces = static_cast<std::size_t>(state.range(0));
-  const auto f = PiecewiseLinear::fit_tanh(pieces);
-  Rng rng(4);
-  MeanVar mv(1, 512);
-  for (double& v : mv.mean.flat()) v = rng.normal();
-  for (double& v : mv.var.flat()) v = std::fabs(rng.normal());
-  const MeanVarF mvf = to_f32(mv);
-  for (auto _ : state) {
-    MeanVarF copy = mvf;
-    moment_activation_inplace(f, copy);
-    benchmark::DoNotOptimize(copy.mean.data());
-  }
-}
-BENCHMARK(BM_ActivationMomentsF32)->Arg(3)->Arg(7)->Arg(15);
 
 Mlp paper_mlp(Activation act, Rng& rng) {
   MlpSpec spec;
@@ -174,88 +85,6 @@ Mlp paper_mlp(Activation act, Rng& rng) {
   return Mlp::make(spec, rng);
 }
 
-void BM_ApDeepSensePass(benchmark::State& state) {
-  Rng rng(5);
-  const Mlp mlp = paper_mlp(
-      state.range(0) == 0 ? Activation::kRelu : Activation::kTanh, rng);
-  const ApDeepSense apd(mlp);
-  const Matrix x = random_matrix(1, 250, rng);
-  for (auto _ : state) {
-    MeanVar out = apd.propagate(x);
-    benchmark::DoNotOptimize(out.mean.data());
-  }
-}
-BENCHMARK(BM_ApDeepSensePass)->Arg(0)->Arg(1);
-
-void BM_ApDeepSensePassF32(benchmark::State& state) {
-  Rng rng(5);
-  const Mlp mlp = paper_mlp(
-      state.range(0) == 0 ? Activation::kRelu : Activation::kTanh, rng);
-  const ApDeepSense apd(mlp);
-  const MeanVar input = MeanVar::point(random_matrix(1, 250, rng));
-  for (auto _ : state) {
-    MeanVar out = apd.propagate(input, Precision::kF32);
-    benchmark::DoNotOptimize(out.mean.data());
-  }
-}
-BENCHMARK(BM_ApDeepSensePassF32)->Arg(0)->Arg(1);
-
-void BM_McDropPass(benchmark::State& state) {
-  // One stochastic forward pass; MCDrop-k costs k of these.
-  Rng rng(6);
-  const Mlp mlp = paper_mlp(Activation::kRelu, rng);
-  const Matrix x = random_matrix(1, 250, rng);
-  Rng pass_rng(7);
-  for (auto _ : state) {
-    Matrix out = mlp.forward_stochastic(x, pass_rng);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_McDropPass);
-
-void BM_DeterministicPass(benchmark::State& state) {
-  Rng rng(8);
-  const Mlp mlp = paper_mlp(Activation::kRelu, rng);
-  const Matrix x = random_matrix(1, 250, rng);
-  for (auto _ : state) {
-    Matrix out = mlp.forward_deterministic(x);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_DeterministicPass);
-
-void print_timing(const char* name, const TimingResult& r) {
-  std::printf("%-24s median %.4f ms  mean %.4f ms  p95 %.4f ms  "
-              "stddev %.4f ms  (%zu iters)\n",
-              name, r.median_ms, r.mean_ms, r.p95_ms, r.stddev_ms,
-              r.iterations);
-}
-
-void moment_kernel_summary() {
-  Rng rng(3);
-  const Matrix weight = random_matrix(512, 512, rng);
-  const Matrix bias = random_matrix(1, 512, rng);
-  MeanVar input(1, 512);
-  for (double& v : input.mean.flat()) v = rng.normal();
-  for (double& v : input.var.flat()) v = std::fabs(rng.normal());
-
-  std::printf("moment kernel timing spread (apds::measure, 512-wide):\n");
-  print_timing("moment_linear", measure([&] {
-                 MeanVar out = moment_linear(input, weight, bias, 0.9);
-                 benchmark::DoNotOptimize(out.mean.data());
-               }));
-
-  const auto f = PiecewiseLinear::fit_tanh(7);
-  print_timing("activation_moments", measure([&] {
-                 MeanVar copy = input;
-                 moment_activation_inplace(f, copy);
-                 benchmark::DoNotOptimize(copy.mean.data());
-               }));
-  std::printf("\n");
-}
-
-// ---- machine-readable kernel suite (--json) --------------------------------
-
 struct KernelRow {
   std::string name;
   std::size_t threads;
@@ -264,8 +93,10 @@ struct KernelRow {
   std::uint64_t allocs = 0;     ///< operator-new calls per iteration
 };
 
-/// The batched hot kernels, measured at the current pool width.
-void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
+/// The kernel rows whose name contains `filter`, measured at pool width
+/// `threads`.
+void run_kernel_suite(std::size_t threads, const std::string& filter,
+                      std::vector<KernelRow>& rows) {
   set_global_threads(threads);
   // One log line (not one per row) when hardware counters are degraded;
   // the rows then omit their ipc/cache_miss_rate columns.
@@ -279,6 +110,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     perf_reported = true;
   }
   auto record = [&](const char* name, const std::function<void()>& fn) {
+    if (std::string(name).find(filter) == std::string::npos) return;
     rows.push_back({name, threads, measure(fn, 5, 0.1), {}, 0});
     KernelRow& row = rows.back();
     // Counter + allocation pass: a few extra iterations under one counter
@@ -302,14 +134,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     Matrix c(256, 256);
     record("gemm_256", [&] {
       gemm(a, b, c);
-      benchmark::DoNotOptimize(c.data());
-    });
-    const MatrixF af = to_f32(a);
-    const MatrixF bf = to_f32(b);
-    MatrixF cf(256, 256);
-    record("gemm_256_f32", [&] {
-      gemm(af, bf, cf);
-      benchmark::DoNotOptimize(cf.data());
+      do_not_optimize(c.data());
     });
   }
   {
@@ -320,33 +145,21 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     for (double& v : input.var.flat()) v = std::fabs(rng.normal());
     record("moment_linear_b64", [&] {
       MeanVar out = moment_linear(input, weight, bias, 0.9);
-      benchmark::DoNotOptimize(out.mean.data());
+      do_not_optimize(out.mean.data());
     });
     const MatrixF wf = to_f32(weight);
-    const MatrixF w2f = to_f32(square(weight));
     const MatrixF bf = to_f32(bias);
     const MeanVarF inputf = to_f32(input);
-    record("moment_linear_b64_f32", [&] {
-      MeanVarF out = moment_linear(inputf, wf, w2f, bf, 0.9);
-      benchmark::DoNotOptimize(out.mean.data());
-    });
     const auto f = PiecewiseLinear::fit_tanh(7);
     record("activation_moments_b64", [&] {
       MeanVar copy = input;
       moment_activation_inplace(f, copy);
-      benchmark::DoNotOptimize(copy.mean.data());
+      do_not_optimize(copy.mean.data());
     });
     record("activation_moments_b64_f32", [&] {
       MeanVarF copy = inputf;
       moment_activation_inplace(f, copy);
-      benchmark::DoNotOptimize(copy.mean.data());
-    });
-    // Fusion gate pair: same math, with vs without the intermediate
-    // pre-activation matrices. bench_compare holds their ratio >= 1.3x.
-    record("moment_act_unfused_b64_f32", [&] {
-      MeanVarF out = moment_linear(inputf, wf, w2f, bf, 0.9);
-      moment_activation_inplace(f, out);
-      benchmark::DoNotOptimize(out.mean.data());
+      do_not_optimize(copy.mean.data());
     });
     // The fused rows own their scratch and output, as a session does (the
     // i8 row adds the quantized-row blocks).
@@ -367,7 +180,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
                              kdim, wf.data(), bf.data(), wf.cols(), 0.9, f,
                              scratch, fused.mean.data(), fused.var.data());
-      benchmark::DoNotOptimize(fused.mean.data());
+      do_not_optimize(fused.mean.data());
     });
     DenseLayer dense;
     dense.weight = weight;
@@ -378,13 +191,12 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
       moment_linear_act_into(inputf.mean.data(), inputf.var.data(), batch,
                              kdim, qdense, 0.9, f, scratch, fused.mean.data(),
                              fused.var.data());
-      benchmark::DoNotOptimize(fused.mean.data());
+      do_not_optimize(fused.mean.data());
     });
   }
   {
     Rng net_rng(5);
     const Mlp mlp = paper_mlp(Activation::kTanh, net_rng);
-    const ApDeepSense apd(mlp);
     const Matrix x = random_matrix(64, 250, rng);
     const MeanVar input = MeanVar::point(x);
     MeanVar out;  // reused across calls: warmed-up iterations allocate 0
@@ -400,7 +212,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const InferenceSession apd_session(mlp, ambient_cfg);
     record("apd_propagate_b64", [&] {
       apd_session.propagate(input, out);
-      benchmark::DoNotOptimize(out.mean.data());
+      do_not_optimize(out.mean.data());
     });
     SessionConfig f32_cfg;
     f32_cfg.precision = Precision::kF32;
@@ -408,48 +220,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const InferenceSession f32_session(mlp, f32_cfg);
     record("apd_propagate_b64_f32", [&] {
       f32_session.propagate(input, out);
-      benchmark::DoNotOptimize(out.mean.data());
-    });
-    // Gemm-based comparator for the quantization floor: the same f32
-    // stack through the unfused moment_linear + activation pair (what
-    // the f32 path was before fusion). bench_compare holds the i8
-    // propagate's speedup over THIS row, so the gate measures what
-    // quantization buys against the path it replaces, not against the
-    // already-fused f32 kernels. Buffers are hoisted so this row also
-    // meets the apd_propagate_ zero-alloc gate.
-    std::vector<MatrixF> wf, w2f, bf;
-    std::size_t max_dim = mlp.input_dim();
-    for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
-      const DenseLayer& layer = mlp.layer(l);
-      wf.push_back(to_f32(layer.weight));
-      w2f.push_back(to_f32(square(layer.weight)));
-      bf.push_back(to_f32(layer.bias));
-      max_dim = std::max(max_dim, layer.out_dim());
-    }
-    const MeanVarF inputf = to_f32(input);
-    const std::size_t batch = x.rows();
-    std::vector<float> slot_m[2], slot_v[2];
-    for (int s = 0; s < 2; ++s) {
-      slot_m[s].assign(batch * max_dim, 0.0f);
-      slot_v[s].assign(batch * max_dim, 0.0f);
-    }
-    std::vector<float> smb(batch * max_dim), vib(batch * max_dim);
-    record("apd_propagate_b64_f32_gemm", [&] {
-      const float* cm = inputf.mean.data();
-      const float* cv = inputf.var.data();
-      for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
-        const DenseLayer& layer = mlp.layer(l);
-        float* om = slot_m[l % 2].data();
-        float* ov = slot_v[l % 2].data();
-        moment_linear_into(cm, cv, batch, layer.in_dim(), wf[l].data(),
-                           w2f[l].data(), bf[l].data(), layer.out_dim(),
-                           layer.keep_prob, smb.data(), vib.data(), om, ov);
-        moment_activation_batch(apd.surrogate(l), om, ov,
-                                batch * layer.out_dim());
-        cm = om;
-        cv = ov;
-      }
-      benchmark::DoNotOptimize(cm);
+      do_not_optimize(out.mean.data());
     });
     SessionConfig i8_cfg;
     i8_cfg.precision = Precision::kI8;
@@ -457,7 +228,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const InferenceSession i8_session(mlp, i8_cfg);
     record("apd_propagate_b64_i8", [&] {
       i8_session.propagate(input, out);
-      benchmark::DoNotOptimize(out.mean.data());
+      do_not_optimize(out.mean.data());
     });
     // Small-batch serving row: one session call at batch 1 (f32, the
     // serving configuration), where per-call allocation or packing would
@@ -470,7 +241,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     MeanVar out1;
     record("apd_session_b1_f32", [&] {
       b1_session.propagate(input1, out1);
-      benchmark::DoNotOptimize(out1.mean.data());
+      do_not_optimize(out1.mean.data());
     });
   }
   {
@@ -480,7 +251,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     record("mcdrop30_b8", [&] {
       Rng sample_rng(17);
       const auto samples = mcdrop_collect(mlp, x, 30, sample_rng);
-      benchmark::DoNotOptimize(samples.data());
+      do_not_optimize(samples.data());
     });
     // The paper's comparator at batch 1: MCDrop-50 runs as one stacked
     // 50-row pass and summarizes straight from it, so a warm call
@@ -490,7 +261,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     const McDrop mc(mlp, 50, /*seed=*/19);
     record("mcdrop50_predict_b1", [&] {
       const PredictiveGaussian pred = mc.predict_regression(x1);
-      benchmark::DoNotOptimize(pred.mean.data());
+      do_not_optimize(pred.mean.data());
     });
   }
   {
@@ -516,7 +287,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     MeanVar conv_out;
     record("conv_propagate_b1", [&] {
       conv.propagate(window, conv_out);
-      benchmark::DoNotOptimize(conv_out.mean.data());
+      do_not_optimize(conv_out.mean.data());
     });
     const RnnCell cell =
         make_rnn_cell(24, 128, Activation::kTanh, 0.9, net_rng);
@@ -526,7 +297,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
     MeanVar rnn_out;
     record("rnn_b1", [&] {
       moment_rnn(cell, seq, 32, tanh_pwl, rnn_out);
-      benchmark::DoNotOptimize(rnn_out.mean.data());
+      do_not_optimize(rnn_out.mean.data());
     });
   }
   {
@@ -539,7 +310,7 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
         APDS_TRACE_SCOPE("bench.noop");
         sink += i;
       }
-      benchmark::DoNotOptimize(sink);
+      do_not_optimize(sink);
     });
     // Profiling-off counter-region overhead: 64k gated PerfCounterRegion
     // entries. The default constructor must stay one relaxed load when
@@ -551,20 +322,14 @@ void run_kernel_suite(std::size_t threads, std::vector<KernelRow>& rows) {
         obs::PerfCounterRegion region;
         sink += i;
       }
-      benchmark::DoNotOptimize(sink);
+      do_not_optimize(sink);
     });
   }
 }
 
-/// Measure every kernel at pool widths 1 and `threads`, write JSON rows.
-void write_kernel_json(const std::string& path, std::size_t threads) {
-  std::printf("kernel suite for %s (threads 1 vs %zu):\n", path.c_str(),
-              threads);
-  std::vector<KernelRow> rows;
-  run_kernel_suite(1, rows);
-  if (threads != 1) run_kernel_suite(threads, rows);
-  set_global_threads(threads);  // leave the pool as configured
-
+/// Write the measured rows as the micro_kernels JSON report.
+void write_kernel_json(const std::string& path, std::size_t threads,
+                       const std::vector<KernelRow>& rows) {
   std::ofstream os(path);
   if (!os) throw IoError("cannot write " + path);
   os << "{\"bench\":\"micro_kernels\",\"threads\":" << threads
@@ -593,37 +358,40 @@ void write_kernel_json(const std::string& path, std::size_t threads) {
   }
   os << "]}\n";
   APDS_CHECK_MSG(os.good(), "short write to " << path);
-  std::printf("kernel timings written to %s\n\n", path.c_str());
+  std::printf("kernel timings written to %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  apds::obs::ObsSession obs_session(argc, argv);
-
-  // --json <path>: serial-vs-parallel kernel timings, machine readable.
+  apds::obs::ObsOptions options = apds::obs::parse_obs_flags(argc, argv);
   std::string json_path;
-  {
-    std::vector<char*> kept;
-    kept.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-      if (std::string(argv[i]) == "--json") {
-        if (i + 1 >= argc) throw apds::InvalidArgument("--json: missing path");
-        json_path = argv[++i];
-      } else {
-        kept.push_back(argv[i]);
-      }
+  std::string filter;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if ((arg == "--json" || arg == "--filter") && i + 1 < argc) {
+      (arg == "--json" ? json_path : filter) = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unknown argument '%s'\nusage: %s [--json <path>] "
+                   "[--filter <substring>] [flags]\n%s\n",
+                   argv[i], argv[0], apds::obs::obs_flags_help());
+      return 2;
     }
-    argc = static_cast<int>(kept.size());
-    for (std::size_t k = 0; k < kept.size(); ++k) argv[k] = kept[k];
   }
-  if (!json_path.empty())
-    write_kernel_json(json_path, apds::global_threads());
+  apds::obs::ObsSession obs_session(std::move(options));
 
-  moment_kernel_summary();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  const std::size_t threads = apds::global_threads();
+  std::printf("kernel suite (threads 1 vs %zu):\n", threads);
+  std::vector<KernelRow> rows;
+  run_kernel_suite(1, filter, rows);
+  if (threads != 1) run_kernel_suite(threads, filter, rows);
+  apds::set_global_threads(threads);  // leave the pool as configured
+  if (rows.empty()) {
+    std::fprintf(stderr, "no kernel row matches --filter '%s'\n",
+                 filter.c_str());
+    return 2;
+  }
+  if (!json_path.empty()) write_kernel_json(json_path, threads, rows);
   return 0;
 }

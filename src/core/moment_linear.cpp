@@ -1,15 +1,12 @@
 #include "core/moment_linear.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "core/arena.h"
 #include "core/moment_contract.h"
 #include "obs/trace.h"
 #include "platform/thread_pool.h"
-#include "tensor/gemm.h"
 #include "tensor/kernels/kernel_dispatch.h"
-#include "tensor/ops.h"
 
 namespace apds {
 
@@ -47,67 +44,36 @@ void moment_tiles_f64(const double* sm, const double* vi,
                });
 }
 
-// `weight_sq` is read at f32 only: the f64 tile squares W in-kernel,
-// bit-identical to a stored square(W) on the scalar tier.
-template <typename T>
-void moment_linear_into_impl(const T* in_mean, const T* in_var,
-                             std::size_t batch, std::size_t in_dim,
-                             const T* weight, const T* weight_sq,
-                             const T* bias, std::size_t out_dim,
-                             double keep_prob, T* sm, T* vi, T* out_mean,
-                             T* out_var) {
+}  // namespace
+
+void moment_linear_into(const double* in_mean, const double* in_var,
+                        std::size_t batch, std::size_t in_dim,
+                        const double* weight, const double* bias,
+                        std::size_t out_dim, double keep_prob, double* sm,
+                        double* vi, double* out_mean, double* out_var) {
   APDS_TRACE_SCOPE("core.moment_linear");
-  const T p = static_cast<T>(keep_prob);
-  const T p2 = p * p;
+  const double p = keep_prob;
+  const double p2 = p * p;
 
   // One fused elementwise pass builds both product inputs:
   //   scaled_mean = mu p                          (E[y] = (mu p) W + b)
   //   var_in      = (mu^2 + sigma^2) p - mu^2 p^2 (Var[y] = var_in W^2)
-  {
-    // The f32 prep goes through the runtime-dispatched kernel (elementwise,
-    // partition-invariant); the f64 prep loop stays in this TU.
-    [[maybe_unused]] const KernelOps* ops = nullptr;
-    if constexpr (std::is_same_v<T, float>) ops = &kernel_ops();
-    parallel_for(0, batch * in_dim, kElementwiseGrain,
-                 [&](std::size_t lo, std::size_t hi) {
-                   if constexpr (std::is_same_v<T, float>) {
-                     ops->moment_prep_f32(in_mean + lo, in_var + lo, sm + lo,
-                                          vi + lo, hi - lo, p, p2);
-                   } else {
-                     for (std::size_t i = lo; i < hi; ++i) {
-                       const T mu2 = in_mean[i] * in_mean[i];
-                       sm[i] = in_mean[i] * p;
-                       vi[i] = (mu2 + in_var[i]) * p - mu2 * p2;
-                     }
-                   }
-                 });
-  }
-
-  if constexpr (std::is_same_v<T, double>) {
-    moment_tiles_f64(sm, vi, weight, bias, batch, in_dim, out_dim, out_mean,
-                     out_var);
-  } else {
-    gemm_buffers(sm, weight, out_mean, batch, in_dim, out_dim,
-                 /*accumulate=*/false);
-    add_row_broadcast_buffers(out_mean, batch, out_dim, bias);
-    gemm_buffers(vi, weight_sq, out_var, batch, in_dim, out_dim,
-                 /*accumulate=*/false);
-    // Clamp tiny negative values caused by floating-point cancellation
-    // when p == 1 and sigma == 0.
-    parallel_for(0, batch * out_dim, kElementwiseGrain,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t i = lo; i < hi; ++i)
-                     if (out_var[i] < T(0)) out_var[i] = T(0);
-                 });
-  }
+  parallel_for(0, batch * in_dim, kElementwiseGrain,
+               [&](std::size_t lo, std::size_t hi) {
+                 for (std::size_t i = lo; i < hi; ++i) {
+                   const double mu2 = in_mean[i] * in_mean[i];
+                   sm[i] = in_mean[i] * p;
+                   vi[i] = (mu2 + in_var[i]) * p - mu2 * p2;
+                 }
+               });
+  moment_tiles_f64(sm, vi, weight, bias, batch, in_dim, out_dim, out_mean,
+                   out_var);
   APDS_MOMENT_CONTRACT_BUF(out_mean, out_var, batch * out_dim, out_dim,
                            "core.moment_linear output");
 }
 
-template <typename T>
-MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
-                               const MatrixT<T>& weight, const T* weight_sq,
-                               const MatrixT<T>& bias, double keep_prob) {
+MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
+                      const Matrix& bias, double keep_prob) {
   APDS_CHECK_MSG(input.dim() == weight.rows(), "moment_linear: input dim");
   APDS_CHECK_MSG(input.var.same_shape(input.mean),
                  "moment_linear: mean/var shape mismatch");
@@ -118,57 +84,21 @@ MeanVarT<T> moment_linear_impl(const MeanVarT<T>& input,
   const std::size_t batch = input.batch();
   const std::size_t in_dim = input.dim();
 
-  MeanVarT<T> out(batch, weight.cols());
+  MeanVar out(batch, weight.cols());
 
   // The two product inputs derived from the layer input live in the calling
-  // thread's scratch arena: reused across layers, precisions and calls, so
-  // a warmed-up call allocates only its outputs. Sessions skip this
-  // wrapper entirely and pass arena-planned slices.
-  const std::size_t slice = arena_round(batch * in_dim * sizeof(T));
+  // thread's scratch arena: reused across layers and calls, so a warmed-up
+  // call allocates only its outputs. Sessions skip this wrapper entirely
+  // and pass arena-planned slices.
+  const std::size_t slice = arena_round(batch * in_dim * sizeof(double));
   std::byte* scratch = thread_scratch().require(2 * slice);
-  T* sm = reinterpret_cast<T*>(scratch);
-  T* vi = reinterpret_cast<T*>(scratch + slice);
+  double* sm = reinterpret_cast<double*>(scratch);
+  double* vi = reinterpret_cast<double*>(scratch + slice);
 
-  moment_linear_into_impl(input.mean.data(), input.var.data(), batch, in_dim,
-                          weight.data(), weight_sq, bias.data(),
-                          weight.cols(), keep_prob, sm, vi, out.mean.data(),
-                          out.var.data());
+  moment_linear_into(input.mean.data(), input.var.data(), batch, in_dim,
+                     weight.data(), bias.data(), weight.cols(), keep_prob, sm,
+                     vi, out.mean.data(), out.var.data());
   return out;
-}
-
-}  // namespace
-
-void moment_linear_into(const double* in_mean, const double* in_var,
-                        std::size_t batch, std::size_t in_dim,
-                        const double* weight, const double* bias,
-                        std::size_t out_dim, double keep_prob, double* sm,
-                        double* vi, double* out_mean, double* out_var) {
-  moment_linear_into_impl(in_mean, in_var, batch, in_dim, weight,
-                          static_cast<const double*>(nullptr), bias, out_dim,
-                          keep_prob, sm, vi, out_mean, out_var);
-}
-
-void moment_linear_into(const float* in_mean, const float* in_var,
-                        std::size_t batch, std::size_t in_dim,
-                        const float* weight, const float* weight_sq,
-                        const float* bias, std::size_t out_dim,
-                        double keep_prob, float* sm, float* vi,
-                        float* out_mean, float* out_var) {
-  moment_linear_into_impl(in_mean, in_var, batch, in_dim, weight, weight_sq,
-                          bias, out_dim, keep_prob, sm, vi, out_mean, out_var);
-}
-
-MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
-                      const Matrix& bias, double keep_prob) {
-  return moment_linear_impl(input, weight, static_cast<const double*>(nullptr),
-                            bias, keep_prob);
-}
-
-MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
-                       const MatrixF& weight_sq, const MatrixF& bias,
-                       double keep_prob) {
-  APDS_CHECK_MSG(weight_sq.same_shape(weight), "moment_linear: weight_sq");
-  return moment_linear_impl(input, weight, weight_sq.data(), bias, keep_prob);
 }
 
 MeanVar moment_linear(const MeanVar& input, const DenseLayer& layer) {

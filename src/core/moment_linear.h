@@ -22,30 +22,16 @@ namespace apds {
 MeanVar moment_linear(const MeanVar& input, const Matrix& weight,
                       const Matrix& bias, double keep_prob);
 
-/// Single-precision unfused variant. Same math, same loop structure; the
-/// caller supplies f32-packed W and its elementwise square. It serves the
-/// unfused comparator bench rows; the f32 engine is the fused
-/// moment_linear_act_into (core/moment_fused.h), which squares W in-tile.
-MeanVarF moment_linear(const MeanVarF& input, const MatrixF& weight,
-                       const MatrixF& weight_sq, const MatrixF& bias,
-                       double keep_prob);
-
-/// Raw-buffer core the Matrix overloads delegate to (bit-identical): all
+/// Raw-buffer core the Matrix overload delegates to (bit-identical): all
 /// pointers are row-major blocks, `sm`/`vi` are caller-provided batch x
 /// in_dim scratch (scaled mean / variance input of the two products), and
 /// out_mean/out_var are batch x out_dim. No allocation, no shape checks —
-/// InferenceSession calls the f64 form with arena-planned slices.
+/// InferenceSession and moment_rnn call it with arena-planned slices.
 void moment_linear_into(const double* in_mean, const double* in_var,
                         std::size_t batch, std::size_t in_dim,
                         const double* weight, const double* bias,
                         std::size_t out_dim, double keep_prob, double* sm,
                         double* vi, double* out_mean, double* out_var);
-void moment_linear_into(const float* in_mean, const float* in_var,
-                        std::size_t batch, std::size_t in_dim,
-                        const float* weight, const float* weight_sq,
-                        const float* bias, std::size_t out_dim,
-                        double keep_prob, float* sm, float* vi,
-                        float* out_mean, float* out_var);
 
 /// Convenience overload taking the layer struct.
 MeanVar moment_linear(const MeanVar& input, const DenseLayer& layer);

@@ -21,6 +21,7 @@
 #define APDS_SAMPLING_REAL 1
 #include <cxxabi.h>
 #include <execinfo.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -41,6 +42,10 @@ std::atomic<std::uint64_t> g_interval_us{0};
 /// leak; reset() reclaims buffers of exited threads between runs).
 struct ThreadState {
   pid_t tid = 0;
+  /// The thread's CPU-time clock: its timer advances only while the thread
+  /// runs, so a worker blocked in the pool's condition wait takes no
+  /// samples.
+  clockid_t clock = CLOCK_MONOTONIC;
   timer_t timer = {};
   bool armed = false;
   bool alive = true;  ///< thread still running (timer may be re-armed)
@@ -110,7 +115,7 @@ bool arm_thread(ThreadState* st, std::uint64_t interval_us) {
 #else
   sev._sigev_un._tid = st->tid;  // glibc spelling of the POSIX member
 #endif
-  if (timer_create(CLOCK_MONOTONIC, &sev, &st->timer) != 0) {
+  if (timer_create(st->clock, &sev, &st->timer) != 0) {
     APDS_WARN("sampling profiler: timer_create failed for tid "
               << st->tid << ": " << std::strerror(errno));
     return false;
@@ -228,6 +233,10 @@ void SamplingProfiler::register_current_thread() {
   // reset() reclaims disarmed dead threads.
   auto* st = new ThreadState();  // apds-lint: allow(naked-new)
   st->tid = static_cast<pid_t>(syscall(SYS_gettid));
+  // Only the thread itself can name its clock here (start() arms the
+  // timers of threads registered earlier from another thread).
+  if (pthread_getcpuclockid(pthread_self(), &st->clock) != 0)
+    st->clock = CLOCK_MONOTONIC;
   tl_state = st;
   MutexLock lock(&g_registry_mu);
   registry().push_back(st);

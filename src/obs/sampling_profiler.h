@@ -1,7 +1,12 @@
 // Opt-in per-thread sampling profiler over POSIX timers: each registered
-// thread gets its own CLOCK_MONOTONIC timer delivering SIGPROF to exactly
-// that thread (SIGEV_THREAD_ID), and the handler captures the interrupted
-// call stack with backtrace(3) into that thread's fill-once sample buffer.
+// thread gets its own timer on its CPU-time clock (pthread_getcpuclockid),
+// delivering SIGPROF to exactly that thread (SIGEV_THREAD_ID), and the
+// handler captures the interrupted call stack with backtrace(3) into that
+// thread's fill-once sample buffer. CPU time, not wall time: an idle pool
+// worker blocked in its condition wait takes no samples, so the self-time
+// table shows work, not waiting. Linux checks CPU-time timers at its
+// scheduler tick, so a busy thread takes min(1/interval, CONFIG_HZ)
+// samples per second of its CPU time (250 at HZ=250).
 //
 // Async-signal-safety contract of the handler (enforced by review and the
 // perf-syscall lint rule confining handler installation to this file):
@@ -44,7 +49,8 @@ class SamplingProfiler {
   /// frames (the root side is truncated).
   static constexpr std::size_t kMaxFrames = 32;
   /// Fill-once capacity per thread (~1 MiB of frames; at the default 1 ms
-  /// interval this is ~4 s of samples per thread, drops counted after).
+  /// interval this is at least ~4 s of CPU time per thread, drops counted
+  /// after).
   static constexpr std::size_t kMaxSamplesPerThread = 4096;
 
   static SamplingProfiler& instance();

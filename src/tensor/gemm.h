@@ -4,17 +4,14 @@
 // axpy over the output row — this auto-vectorizes well and is the
 // backbone of training and of the nn forward passes.
 //
-// Every kernel exists at both scalar widths: the f64 overloads are the
-// reference/training path (nn, the trainer, the per-sample
-// Mlp::forward_stochastic; default flags, bit-identical to previous
-// releases), the MatrixF overloads are the
-// single-precision fast path (same blocking and per-element accumulation
-// order, twice the SIMD lanes and half the memory traffic). Both are
-// parallelized over the shared pool with partition-independent results.
-// The moment passes do not run here: ApDeepSense's f64 and f32 engines
-// use the dispatched moment tiles, and batched MCDrop the dispatched f64
-// GEMM tile (tensor/kernels/kernel_dispatch.h), whose scalar tier is
-// bit-identical to the f64 gemm_buffers below.
+// This is the f64 reference/training path (nn, the trainer, the
+// per-sample Mlp::forward_stochastic; default flags, bit-identical to
+// previous releases), parallelized over the shared pool with
+// partition-independent results. The moment passes do not run here:
+// ApDeepSense's f64 and f32 engines use the dispatched moment tiles, and
+// batched MCDrop the dispatched f64 GEMM tile
+// (tensor/kernels/kernel_dispatch.h), whose scalar tier is bit-identical
+// to gemm_buffers below.
 #pragma once
 
 #include "tensor/matrix.h"
@@ -27,27 +24,20 @@ namespace apds {
 /// directly with arena-resident slices to keep the hot path allocation-free.
 void gemm_buffers(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate);
-void gemm_buffers(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate);
 
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. C is overwritten.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C += A * B (accumulating variant).
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_acc(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n]. Used for weight gradients.
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_tn(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Used for input gradients.
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nt(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// Convenience: returns A * B by value.
 Matrix matmul(const Matrix& a, const Matrix& b);
-MatrixF matmul(const MatrixF& a, const MatrixF& b);
 
 }  // namespace apds

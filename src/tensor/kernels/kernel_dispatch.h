@@ -99,33 +99,10 @@ struct PwlView {
 
 /// The function-pointer table one ISA tier exports. All kernels take raw
 /// row-major buffers; shape checks and thread partitioning stay in the
-/// generic drivers (tensor/gemm.cpp, core/moment_*.cpp), which call these
-/// on disjoint output ranges.
+/// generic drivers (core/moment_*.cpp, conv/moment_conv.cpp,
+/// uncertainty/mcdrop.cpp), which call these on disjoint output ranges.
 struct KernelOps {
   const char* name;  ///< kernel_backend_name of the TU that built the table
-
-  /// C[i0:i1, j0:j1] (+)= A[i0:i1, :] B[:, j0:j1]; A is m x k, B k x n,
-  /// C m x n. Same k-blocked, k-ascending per-element accumulation order
-  /// as the f64 reference gemm_tile.
-  void (*gemm_tile_f32)(const float* a, const float* b, float* c,
-                        std::size_t k, std::size_t n, bool accumulate,
-                        std::size_t i0, std::size_t i1, std::size_t j0,
-                        std::size_t j1);
-
-  /// C[i0:i1, :] = A^T B restricted to those C rows; A is k x m, B k x n,
-  /// C m x n (rank-1 update order, r ascending per element).
-  void (*gemm_tn_panel_f32)(const float* a, const float* b, float* c,
-                            std::size_t k, std::size_t m, std::size_t n,
-                            std::size_t i0, std::size_t i1);
-
-  /// C[i0:i1, :] = A B^T restricted to those C rows; A is m x k, B n x k,
-  /// C m x n (full-k dot product per element).
-  void (*gemm_nt_panel_f32)(const float* a, const float* b, float* c,
-                            std::size_t k, std::size_t n, std::size_t i0,
-                            std::size_t i1);
-
-  /// out[i] = a[i]^2.
-  void (*square_f32)(const float* a, float* out, std::size_t n);
 
   /// The fused elementwise prep of moment_linear's two GEMM inputs:
   ///   sm[i] = mu[i] p,  vi[i] = (mu[i]^2 + var[i]) p - mu[i]^2 p^2.

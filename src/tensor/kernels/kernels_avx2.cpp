@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include <immintrin.h>
+
 #include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds::kernels {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include <immintrin.h>
+
 #include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds::kernels {

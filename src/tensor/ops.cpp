@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "platform/thread_pool.h"
-#include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds {
 
@@ -84,39 +83,20 @@ void scale_inplace(Matrix& a, double s) {
                });
 }
 
-namespace {
-template <typename T>
-void add_row_broadcast_buffers_impl(T* ad, std::size_t rows, std::size_t cols,
-                                    const T* rd) {
+void add_row_broadcast(Matrix& a, const Matrix& row) {
+  APDS_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
+                 "add_row_broadcast: row shape");
+  double* ad = a.data();
+  const double* rd = row.data();
+  const std::size_t cols = a.cols();
   const std::size_t grain =
       std::max<std::size_t>(1, kElementwiseGrain / (cols + 1));
-  parallel_for(0, rows, grain, [&](std::size_t r0, std::size_t r1) {
+  parallel_for(0, a.rows(), grain, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      T* ar = ad + r * cols;
+      double* ar = ad + r * cols;
       for (std::size_t c = 0; c < cols; ++c) ar[c] += rd[c];
     }
   });
-}
-
-template <typename T>
-void add_row_broadcast_impl(MatrixT<T>& a, const MatrixT<T>& row) {
-  APDS_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
-                 "add_row_broadcast: row shape");
-  add_row_broadcast_buffers_impl(a.data(), a.rows(), a.cols(), row.data());
-}
-}  // namespace
-
-void add_row_broadcast(Matrix& a, const Matrix& row) {
-  add_row_broadcast_impl(a, row);
-}
-
-void add_row_broadcast(MatrixF& a, const MatrixF& row) {
-  add_row_broadcast_impl(a, row);
-}
-
-void add_row_broadcast_buffers(float* a, std::size_t rows, std::size_t cols,
-                               const float* row) {
-  add_row_broadcast_buffers_impl(a, rows, cols, row);
 }
 
 void mul_row_broadcast(Matrix& a, const Matrix& row) {
@@ -196,12 +176,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::fabs(ad[i] - bd[i]));
   return m;
-}
-
-MatrixF square(const MatrixF& a) {
-  MatrixF out(a.rows(), a.cols());
-  kernel_ops().square_f32(a.data(), out.data(), a.size());
-  return out;
 }
 
 double max_abs_diff(const MatrixF& a, const MatrixF& b) {

@@ -42,12 +42,6 @@ void scale_inplace(Matrix& a, double s);
 /// Add a 1 x cols row vector to every row of `a` (bias broadcast).
 void add_row_broadcast(Matrix& a, const Matrix& row);
 
-/// Raw-buffer bias broadcast over a rows x cols row-major block. The Matrix
-/// overloads delegate here (bit-identical); the unfused f32 moment_linear
-/// calls it directly (the f64 moment tile adds its bias in-kernel).
-void add_row_broadcast_buffers(float* a, std::size_t rows, std::size_t cols,
-                               const float* row);
-
 /// Multiply every row of `a` elementwise by a 1 x cols row vector.
 void mul_row_broadcast(Matrix& a, const Matrix& row);
 
@@ -81,11 +75,7 @@ bool all_finite(const Matrix& a);
 /// Index of the maximum element in row r.
 std::size_t argmax_row(const Matrix& a, std::size_t r);
 
-// Single-precision overloads of the ops the f32 inference fast path needs
-// (weight packing, bias broadcast, test diffing). The f64 overloads above
-// are the reference path and are unchanged.
-MatrixF square(const MatrixF& a);
-void add_row_broadcast(MatrixF& a, const MatrixF& row);
+/// Single-precision max_abs_diff, for diffing f32 engine outputs.
 double max_abs_diff(const MatrixF& a, const MatrixF& b);
 
 }  // namespace apds

@@ -113,44 +113,5 @@ TEST(Gemm, OneByN) {
   EXPECT_LT(max_abs_diff(matmul(a, b), naive_matmul(a, b)), 1e-9);
 }
 
-TEST(GemmF32, MatchesF64ReferenceWithinSinglePrecision) {
-  Rng rng(19);
-  // Odd shapes so the blocked kernel's edge tiles are exercised too.
-  Matrix a = random_matrix(33, 70, rng);
-  Matrix b = random_matrix(70, 29, rng);
-  MatrixF cf(33, 29);
-  gemm(to_f32(a), to_f32(b), cf);
-  // k = 70 accumulation at f32: a few hundred ulp of slack is plenty.
-  EXPECT_LT(max_abs_diff(to_f64(cf), naive_matmul(a, b)), 1e-4);
-}
-
-TEST(GemmF32, TransposedVariantsAndAccumulate) {
-  Rng rng(23);
-  Matrix a = random_matrix(6, 5, rng);
-  Matrix b = random_matrix(5, 9, rng);
-  const Matrix ref = naive_matmul(a, b);
-
-  MatrixF c_tn(6, 9);
-  gemm_tn(to_f32(a.transposed()), to_f32(b), c_tn);
-  EXPECT_LT(max_abs_diff(to_f64(c_tn), ref), 1e-5);
-
-  MatrixF c_nt(6, 9);
-  gemm_nt(to_f32(a), to_f32(b.transposed()), c_nt);
-  EXPECT_LT(max_abs_diff(to_f64(c_nt), ref), 1e-5);
-
-  MatrixF acc(6, 9, 1.0f);
-  gemm_acc(to_f32(a), to_f32(b), acc);
-  Matrix expected = ref;
-  for (double& v : expected.flat()) v += 1.0;
-  EXPECT_LT(max_abs_diff(to_f64(acc), expected), 1e-5);
-}
-
-TEST(GemmF32, ShapeMismatchThrows) {
-  MatrixF a(2, 3);
-  MatrixF b(4, 5);
-  MatrixF c(2, 5);
-  EXPECT_THROW(gemm(a, b, c), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace apds

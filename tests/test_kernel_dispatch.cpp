@@ -151,10 +151,6 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
   for (const KernelBackend b : supported_backends()) {
     const KernelOps& ops = kernel_ops(b);
     EXPECT_STREQ(ops.name, kernel_backend_name(b));
-    EXPECT_NE(ops.gemm_tile_f32, nullptr);
-    EXPECT_NE(ops.gemm_tn_panel_f32, nullptr);
-    EXPECT_NE(ops.gemm_nt_panel_f32, nullptr);
-    EXPECT_NE(ops.square_f32, nullptr);
     EXPECT_NE(ops.moment_prep_f32, nullptr);
     EXPECT_NE(ops.act_tile_f32, nullptr);
     EXPECT_NE(ops.moment_tile_f32, nullptr);
@@ -168,66 +164,25 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
 
 // ---- raw per-kernel agreement against the scalar table ---------------------
 
-TEST(KernelAgreement, GemmTileMatchesScalar) {
-  Rng rng(41);
-  const std::size_t m = 37, k = 53, n = 29;
-  const MatrixF a = random_matrix_f32(m, k, rng);
-  const MatrixF b = random_matrix_f32(k, n, rng);
-  MatrixF ref(m, n);
-  kernel_ops(KernelBackend::kScalar)
-      .gemm_tile_f32(a.data(), b.data(), ref.data(), k, n, false, 0, m, 0, n);
-  for (const KernelBackend back : supported_backends()) {
-    MatrixF c(m, n);
-    kernel_ops(back).gemm_tile_f32(a.data(), b.data(), c.data(), k, n, false,
-                                   0, m, 0, n);
-    EXPECT_LE(max_scaled_diff(ref, c), 1e-4f) << kernel_backend_name(back);
-  }
-}
-
-TEST(KernelAgreement, GemmPanelsMatchScalar) {
-  Rng rng(42);
-  const std::size_t m = 23, k = 61, n = 19;
-  const MatrixF at = random_matrix_f32(k, m, rng);  // A^T for the TN panel
-  const MatrixF a = random_matrix_f32(m, k, rng);
-  const MatrixF bt = random_matrix_f32(n, k, rng);  // B^T for the NT panel
-  const MatrixF b = random_matrix_f32(k, n, rng);
-  MatrixF ref_tn(m, n), ref_nt(m, n);
-  const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
-  scalar.gemm_tn_panel_f32(at.data(), b.data(), ref_tn.data(), k, m, n, 0, m);
-  scalar.gemm_nt_panel_f32(a.data(), bt.data(), ref_nt.data(), k, n, 0, m);
-  for (const KernelBackend back : supported_backends()) {
-    MatrixF tn(m, n), nt(m, n);
-    kernel_ops(back).gemm_tn_panel_f32(at.data(), b.data(), tn.data(), k, m,
-                                       n, 0, m);
-    kernel_ops(back).gemm_nt_panel_f32(a.data(), bt.data(), nt.data(), k, n,
-                                       0, m);
-    EXPECT_LE(max_scaled_diff(ref_tn, tn), 1e-4f) << kernel_backend_name(back);
-    EXPECT_LE(max_scaled_diff(ref_nt, nt), 1e-4f) << kernel_backend_name(back);
-  }
-}
-
 TEST(KernelAgreement, ElementwiseKernelsMatchScalar) {
-  // square and the moment prep are elementwise — no accumulation-order
-  // freedom. square is a single multiply, so every tier agrees bit for
-  // bit; the prep's vi = (mu^2+var)p - mu^2 p^2 leaves FMA contraction
-  // room, so the wider tiers may differ by an ulp.
+  // The moment prep is elementwise — no accumulation-order freedom. sm is
+  // a single multiply, so every tier agrees bit for bit; vi = (mu^2+var)p
+  // - mu^2 p^2 leaves FMA contraction room, so the wider tiers may differ
+  // by an ulp.
   Rng rng(43);
   const std::size_t n = 331;  // odd: exercises the vector remainder
   const MatrixF mu = random_matrix_f32(1, n, rng);
   MatrixF var = random_matrix_f32(1, n, rng);
   for (float& v : var.flat()) v = std::fabs(v);
   const float p = 0.9f;
-  MatrixF ref_sq(1, n), ref_sm(1, n), ref_vi(1, n);
+  MatrixF ref_sm(1, n), ref_vi(1, n);
   const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
-  scalar.square_f32(mu.data(), ref_sq.data(), n);
   scalar.moment_prep_f32(mu.data(), var.data(), ref_sm.data(), ref_vi.data(),
                          n, p, p * p);
   for (const KernelBackend back : supported_backends()) {
-    MatrixF sq(1, n), sm(1, n), vi(1, n);
-    kernel_ops(back).square_f32(mu.data(), sq.data(), n);
+    MatrixF sm(1, n), vi(1, n);
     kernel_ops(back).moment_prep_f32(mu.data(), var.data(), sm.data(),
                                      vi.data(), n, p, p * p);
-    EXPECT_EQ(max_scaled_diff(ref_sq, sq), 0.0f) << kernel_backend_name(back);
     EXPECT_EQ(max_scaled_diff(ref_sm, sm), 0.0f) << kernel_backend_name(back);
     EXPECT_LE(max_scaled_diff(ref_vi, vi), 1e-6f) << kernel_backend_name(back);
   }

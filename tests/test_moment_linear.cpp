@@ -115,7 +115,7 @@ TEST(MomentLinear, ShapeAndParamValidation) {
 }
 
 // A bias that is not 1 x out_dim would be read out of bounds by the bias
-// broadcast; both precisions reject it up front.
+// broadcast; it is rejected up front.
 TEST(MomentLinear, BiasShapeIsChecked) {
   Rng rng(5);
   const DenseLayer layer = random_layer(3, 4, 0.9, rng);
@@ -126,15 +126,6 @@ TEST(MomentLinear, BiasShapeIsChecked) {
                InvalidArgument);
   EXPECT_THROW(moment_linear(ok, layer.weight, tall_bias, 0.9),
                InvalidArgument);
-
-  const MatrixF wf = to_f32(layer.weight);
-  const MatrixF w2f = to_f32(square(layer.weight));
-  EXPECT_THROW(moment_linear(to_f32(ok), wf, w2f, to_f32(short_bias), 0.9),
-               InvalidArgument);
-  EXPECT_THROW(moment_linear(to_f32(ok), wf, w2f, to_f32(tall_bias), 0.9),
-               InvalidArgument);
-  EXPECT_NO_THROW(
-      moment_linear(to_f32(ok), wf, w2f, to_f32(layer.bias), 0.9));
 }
 
 // Property-based validation: the closed form must match Monte-Carlo

@@ -18,17 +18,10 @@
 #include "common/rng.h"
 #include "core/apdeepsense.h"
 #include "eval/experiment.h"
-#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace apds {
 namespace {
-
-Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
-  Matrix m(r, c);
-  for (double& v : m.flat()) v = rng.normal();
-  return m;
-}
 
 MeanVar random_meanvar(std::size_t batch, std::size_t dim, Rng& rng) {
   MeanVar mv(batch, dim);
@@ -88,34 +81,6 @@ TEST(PrecisionDispatch, SetterOverridesEnvOverridesDefault) {
   ::setenv("APDS_PRECISION", "bogus", 1);
   clear_global_precision();
   EXPECT_EQ(global_precision(), Precision::kF64);  // bad env -> warn + f64
-}
-
-TEST(PrecisionAgreement, GemmF32TracksF64) {
-  Rng rng(11);
-  const Matrix a = random_matrix(47, 63, rng);
-  const Matrix b = random_matrix(63, 31, rng);
-  Matrix c(47, 31);
-  gemm(a, b, c);
-  MatrixF cf(47, 31);
-  gemm(to_f32(a), to_f32(b), cf);
-  // Error scales with the k-dim accumulation length (63 here).
-  EXPECT_LE(max_scaled_diff(c, to_f64(cf)), 1e-4);
-}
-
-TEST(PrecisionAgreement, MomentLinearF32TracksF64) {
-  Rng rng(12);
-  const Matrix weight = random_matrix(96, 80, rng);
-  const Matrix w2 = square(weight);
-  const Matrix bias = random_matrix(1, 80, rng);
-  const MeanVar input = random_meanvar(16, 96, rng);
-
-  const MeanVar ref = moment_linear(input, weight, bias, 0.9);
-  const MeanVarF fast = moment_linear(to_f32(input), to_f32(weight),
-                                      to_f32(w2), to_f32(bias), 0.9);
-  EXPECT_LE(max_scaled_diff(ref.mean, to_f64(fast.mean)), 1e-4);
-  EXPECT_LE(max_scaled_diff(ref.var, to_f64(fast.var)), 1e-4);
-  // The fast path must preserve variance nonnegativity unconditionally.
-  for (const float v : fast.var.flat()) EXPECT_GE(v, 0.0f);
 }
 
 TEST(PrecisionAgreement, ActivationMomentsF32TracksF64) {

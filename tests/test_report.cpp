@@ -273,7 +273,7 @@ TEST_F(ProfileReportTest, FoldedReEmissionMatchesTheEmbeddedStacks) {
   // The collapsed stacks ObsSession writes to profile.folded are the
   // profile JSON's "folded" array, line for line.
   ASSERT_EQ(run_cmd(std::string(MICRO_KERNELS_BIN) + " --obs-dir " + dir_ +
-                    " '--benchmark_filter=ApDeepSensePassF32/1$' > " + dir_ +
+                    " --filter apd_session_b1_f32 > " + dir_ +
                     ".bench.out 2>&1"),
             0)
       << read_file(dir_ + ".bench.out");
@@ -303,9 +303,9 @@ TEST(ProfileReportE2E, MicroKernelsAttributesDistinctKernelBackends) {
 #if !defined(MICRO_KERNELS_BIN) || !defined(REPORT_BIN)
   GTEST_SKIP() << "bench/report binaries not configured";
 #else
-  // One fast propagate benchmark is enough to cross the instrumented
-  // kernel paths; the suite rows (--json) are not needed here.
-  const std::string filter = " '--benchmark_filter=ApDeepSensePassF32/1$'";
+  // One fast propagate row is enough to cross the instrumented kernel
+  // paths.
+  const std::string filter = " --filter apd_session_b1_f32";
   const std::string native_dir = "report_e2e_native";
   const std::string scalar_dir = "report_e2e_scalar";
   std::filesystem::remove_all(native_dir);
@@ -362,6 +362,16 @@ TEST(ProfileReportE2E, MicroKernelsAttributesDistinctKernelBackends) {
   EXPECT_NE(report.find("span totals"), std::string::npos) << report;
   // The ObsSession also wrote the companion folded file.
   EXPECT_FALSE(read_file(scalar_dir + "/profile.folded").empty());
+
+  // A filter that matches no row is a usage error: exit 2, no report.
+  const std::string json = "report_e2e_nomatch.json";
+  std::filesystem::remove(json);
+  EXPECT_EQ(run_cmd(std::string(MICRO_KERNELS_BIN) +
+                    " --filter no_such_row --json " + json +
+                    " > report_e2e_nomatch.out 2>&1"),
+            2)
+      << read_file("report_e2e_nomatch.out");
+  EXPECT_FALSE(std::filesystem::exists(json));
 #endif
 }
 

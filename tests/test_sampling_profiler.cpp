@@ -6,15 +6,18 @@
 // publication protocol.
 //
 // Assertions avoid exact sample counts (CI machines stall arbitrarily)
-// but do require SOME samples from a long busy loop — the timers are
-// CLOCK_MONOTONIC, so wall time alone must produce ticks.
+// but do require SOME samples from a long busy loop. The timers run on
+// each thread's CPU-time clock, so a busy thread must produce ticks and a
+// blocked one none.
 #include "obs/sampling_profiler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -109,6 +112,43 @@ TEST_F(SamplingProfilerTest, SamplesBusyThreadsAndAggregatesAReport) {
     folded_samples += count;
   }
   EXPECT_EQ(folded_samples, report.samples);
+}
+
+TEST_F(SamplingProfilerTest, BlockedThreadTakesNoSamples) {
+  // An idle pool worker waits on a condition variable; on CPU-time clocks
+  // it must not be sampled while the calling thread spins.
+  obs::SamplingProfiler& p = obs::SamplingProfiler::instance();
+  ASSERT_TRUE(p.start(500));
+  std::mutex mu;
+  std::condition_variable cv;
+  bool registered = false;
+  bool release = false;
+  std::thread blocked([&] {
+    obs::SamplingProfiler::register_current_thread();
+    std::unique_lock<std::mutex> lock(mu);
+    registered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    lock.unlock();
+    obs::SamplingProfiler::unregister_current_thread();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return registered; });
+  }
+  busy_for_ms(200);
+  p.stop();  // disarm before the blocked thread wakes and runs again
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  blocked.join();
+
+  // Only the spinning thread (the one start() registered) has samples.
+  const obs::SamplingProfiler::Report report = p.report();
+  EXPECT_GT(report.samples, 0u) << "200 ms busy at 500 us produced none";
+  EXPECT_EQ(report.threads, 1u) << "the blocked thread was sampled";
 }
 
 TEST_F(SamplingProfilerTest, FoldedExportIsFlamegraphShaped) {
