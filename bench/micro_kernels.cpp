@@ -109,9 +109,12 @@ void run_kernel_suite(std::size_t threads, const std::string& filter,
                 obs::perf_unavailable_reason().c_str());
     perf_reported = true;
   }
-  auto record = [&](const char* name, const std::function<void()>& fn) {
+  // min_seconds is the measured window: the p50 of ~0.1 s of iterations
+  // moves with any slow stretch of that length on a shared host.
+  auto record = [&](const char* name, const std::function<void()>& fn,
+                    double min_seconds = 0.1) {
     if (std::string(name).find(filter) == std::string::npos) return;
-    rows.push_back({name, threads, measure(fn, 5, 0.1), {}, 0});
+    rows.push_back({name, threads, measure(fn, 5, min_seconds), {}, 0});
     KernelRow& row = rows.back();
     // Counter + allocation pass: a few extra iterations under one counter
     // region (the calling thread's share — see perf_counters.h). Ratio
@@ -303,15 +306,21 @@ void run_kernel_suite(std::size_t threads, const std::string& filter,
   {
     // Tracing-off span overhead: 64k disabled APDS_TRACE_SCOPE entries. The
     // guard must be a cheap enabled() check; this row gates regressions in
-    // it (e.g. the span-id/context bookkeeping leaking past the guard).
-    record("trace_span_overhead", [&] {
-      std::uint64_t sink = 0;
-      for (std::uint64_t i = 0; i < 65536; ++i) {
-        APDS_TRACE_SCOPE("bench.noop");
-        sink += i;
-      }
-      do_not_optimize(sink);
-    });
+    // it (e.g. the span-id/context bookkeeping leaking past the guard). A
+    // call is only ~0.4 ms, so one slow stretch of the host covers a whole
+    // 0.1 s window and doubled its p50; over 1 s the p50 needs a slow half
+    // second to move.
+    record(
+        "trace_span_overhead",
+        [&] {
+          std::uint64_t sink = 0;
+          for (std::uint64_t i = 0; i < 65536; ++i) {
+            APDS_TRACE_SCOPE("bench.noop");
+            sink += i;
+          }
+          do_not_optimize(sink);
+        },
+        1.0);
     // Profiling-off counter-region overhead: 64k gated PerfCounterRegion
     // entries. The default constructor must stay one relaxed load when
     // --obs-dir is off; this row gates that (the analogue of

@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include <immintrin.h>
-
 #include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds::kernels {

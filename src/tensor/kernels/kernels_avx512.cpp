@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include <immintrin.h>
-
 #include "tensor/kernels/kernel_dispatch.h"
 
 namespace apds::kernels {
