@@ -1,15 +1,14 @@
 // Extension experiment (ours): one table placing ApDeepSense in the wider
 // uncertainty-estimation design space — the paper's comparators (MCDrop-k,
 // RDeepSense) plus a deterministic point baseline with validation-
-// calibrated variance and a 5-member deep ensemble. Each row lists the
-// quality metrics next to the modelled Edison cost and what it demands of
-// the deployment (extra trainings / passes per inference).
+// calibrated variance. Each row lists the quality metrics next to the
+// modelled Edison cost and what it demands of the deployment (extra
+// trainings / passes per inference).
 #include <iostream>
 
 #include "bench_common.h"
 #include "metrics/regression_metrics.h"
 #include "uncertainty/apd_estimator.h"
-#include "uncertainty/ensemble.h"
 #include "uncertainty/mcdrop.h"
 #include "uncertainty/point_estimator.h"
 #include "uncertainty/rdeepsense.h"
@@ -24,7 +23,6 @@ int main(int argc, char** argv) {
     const TaskData& td = zoo.data(task);
     const Mlp& mlp = zoo.dropout_model(task, Activation::kRelu);
     const Mlp& rds_mlp = zoo.rdeepsense_model(task, Activation::kRelu);
-    const auto ens_members = zoo.ensemble_models(task, Activation::kRelu, 5);
     const EdisonModel edison;
 
     auto unscale = [&](PredictiveGaussian pred) {
@@ -63,10 +61,6 @@ int main(int argc, char** argv) {
     const RDeepSense rds(rds_mlp, td.kind, td.output_dim);
     add("RDeepSense", unscale(rds.predict_regression(td.x_test)),
         flops_forward(rds_mlp), "1 (retrained)", "1");
-
-    const DeepEnsemble ens(ens_members);
-    add("Ensemble-5", unscale(ens.predict_regression(td.x_test)),
-        5.0 * flops_forward(mlp), "5", "5");
 
     std::cout << "Design-space comparison — task " << task_name(task)
               << ", DNN-ReLU\n";

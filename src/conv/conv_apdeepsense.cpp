@@ -5,6 +5,7 @@
 #include "common/precision.h"
 #include "core/arena.h"
 #include "core/moment_activation.h"
+#include "core/moment_contract.h"
 #include "obs/trace.h"
 
 namespace apds {
@@ -49,6 +50,9 @@ void ConvApDeepSense::propagate(const MeanVar& input, MeanVar& out) const {
   APDS_CHECK_MSG(input.var.same_shape(input.mean),
                  "ConvApDeepSense: mean/var shape mismatch");
   APDS_CHECK_MSG(&input != &out, "ConvApDeepSense: output aliases input");
+  check_moment_contract_buffers(input.mean.data(), input.var.data(),
+                                input.mean.size(), width,
+                                "conv.propagate input");
   const std::size_t batch = input.batch();
   const std::size_t L = net_->num_conv_layers();
 
@@ -93,9 +97,8 @@ void ConvApDeepSense::propagate(const MeanVar& input, MeanVar& out) const {
     double* ov = slot_var[l % 2];
     if (l + 1 == L) {
       // Capacity-retaining resizes: they allocate only while a thread warms
-      // up. apds-lint: allow(hot-path-alloc)
+      // up.
       features.mean.resize(batch, out_dim);
-      // apds-lint: allow(hot-path-alloc) — same capacity retention.
       features.var.resize(batch, out_dim);
       om = features.mean.data();
       ov = features.var.data();

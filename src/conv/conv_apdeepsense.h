@@ -37,7 +37,9 @@ class ConvApDeepSense {
 
   /// In-place form the others wrap: `out` is resized to [batch, outputs]
   /// and keeps its capacity, so a warm call into a reused `out` performs
-  /// no heap allocation. Checks the input width once, before any work.
+  /// no heap allocation. Checks the input width and the moment contract
+  /// (finite means, finite nonnegative variances; MomentContractViolation)
+  /// once, before any work.
   void propagate(const MeanVar& input, MeanVar& out) const;
 
  private:

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/arena.h"
 #include "core/moment_activation.h"
+#include "core/moment_contract.h"
 #include "core/moment_linear.h"
 #include "nn/mlp.h"
 #include "tensor/gemm.h"
@@ -110,6 +111,8 @@ MeanVar moment_rnn(const RnnCell& cell, const Matrix& x_seq,
 void moment_rnn(const RnnCell& cell, const Matrix& x_seq, std::size_t steps,
                 const PiecewiseLinear& surrogate, MeanVar& out) {
   check_seq(cell, x_seq, steps);
+  check_moment_contract_buffers<double>(x_seq.data(), nullptr, x_seq.size(),
+                                        x_seq.cols(), "rnn.propagate input");
   const std::size_t batch = x_seq.rows();
   const std::size_t hidden = cell.hidden_dim();
   const std::size_t state = batch * hidden;
@@ -136,9 +139,8 @@ void moment_rnn(const RnnCell& cell, const Matrix& x_seq, std::size_t steps,
                cell.input_dim(), hidden, /*accumulate=*/false);
 
   // Caller-owned output: resize keeps capacity, so a reused `out`
-  // allocates nothing once warm. apds-lint: allow(hot-path-alloc)
+  // allocates nothing once warm.
   out.mean.resize(batch, hidden);
-  // apds-lint: allow(hot-path-alloc) — same capacity retention.
   out.var.resize(batch, hidden);
   std::fill(h_mean[0], h_mean[0] + state, 0.0);
   std::fill(h_var[0], h_var[0] + state, 0.0);

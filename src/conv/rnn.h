@@ -61,7 +61,8 @@ MeanVar moment_rnn(const RnnCell& cell, const Matrix& x_seq,
 /// In-place form: `out` is resized to [batch, hidden] and keeps its
 /// capacity, so a warm call into a reused `out` performs no heap
 /// allocation. The cell, steps and sequence width are checked once,
-/// before any work (InvalidArgument naming the argument and its value).
+/// before any work (InvalidArgument naming the argument and its value),
+/// and a non-finite sequence value throws MomentContractViolation.
 /// All steps' input maps are one [batch * steps, input_dim] x W_in product
 /// over x_seq read in place; each step then runs moment_linear_into on the
 /// recurrent part and the dispatched f64 activation tile, ping-ponging one

@@ -192,6 +192,10 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
   APDS_CHECK_MSG(&input != &out, "InferenceSession: output aliases input");
   const std::size_t batch = input.batch();
   APDS_CHECK_MSG(batch > 0, "InferenceSession: empty batch");
+  // The input contract of every precision, before any narrowing.
+  check_moment_contract_buffers(input.mean.data(), input.var.data(),
+                                input.mean.size(), input_dim(),
+                                "session.propagate input");
 
   TraceSpan span("session.propagate");
   if (span.active())
@@ -207,9 +211,8 @@ void InferenceSession::propagate(const MeanVar& input, MeanVar& out) const {
   ThreadArena& ta = thread_arena(batch);
   // Caller-owned output: Matrix::resize retains capacity, so a reused `out`
   // allocates nothing once warm (the contract test_inference_session
-  // measures). apds-lint: allow(hot-path-alloc)
+  // measures).
   out.mean.resize(batch, output_dim());
-  // apds-lint: allow(hot-path-alloc) — same capacity-retention contract.
   out.var.resize(batch, output_dim());
 
   switch (config_.precision) {
@@ -244,8 +247,6 @@ void InferenceSession::propagate_f64(const MeanVar& input, MeanVar& out,
   double* vi = ta.arena.at<double>(ta.plan.vi);
   const double* cm = input.mean.data();
   const double* cv = input.var.data();
-  APDS_MOMENT_CONTRACT_BUF(cm, cv, batch * dims_[0], dims_[0],
-                           "session.propagate input");
   for (std::size_t l = 0; l < L; ++l) {
     double* om;
     double* ov;
@@ -296,8 +297,6 @@ void InferenceSession::propagate_f32(const MeanVar& input, MeanVar& out,
     for (std::size_t i = 0; i < n; ++i) cm[i] = static_cast<float>(im[i]);
     for (std::size_t i = 0; i < n; ++i) cv[i] = static_cast<float>(iv[i]);
   }
-  APDS_MOMENT_CONTRACT_BUF(cm, cv, batch * dims_[0], dims_[0],
-                           "session.propagate_f32 input");
   for (std::size_t l = 0; l < L; ++l) {
     float* om = ta.arena.at<float>(ta.plan.slot_mean[(l + 1) % 2]);
     float* ov = ta.arena.at<float>(ta.plan.slot_var[(l + 1) % 2]);
@@ -344,8 +343,6 @@ void InferenceSession::propagate_i8(const MeanVar& input, MeanVar& out,
     for (std::size_t i = 0; i < n; ++i) cm[i] = static_cast<float>(im[i]);
     for (std::size_t i = 0; i < n; ++i) cv[i] = static_cast<float>(iv[i]);
   }
-  APDS_MOMENT_CONTRACT_BUF(cm, cv, batch * dims_[0], dims_[0],
-                           "session.propagate_i8 input");
   for (std::size_t l = 0; l < L; ++l) {
     float* om = ta.arena.at<float>(ta.plan.slot_mean[(l + 1) % 2]);
     float* ov = ta.arena.at<float>(ta.plan.slot_var[(l + 1) % 2]);

@@ -71,6 +71,8 @@ class InferenceSession {
   /// Propagate into a caller-owned output batch. `out` is resized to
   /// [batch, output_dim]; when the caller reuses the same `out` across
   /// calls (capacity retained), a warmed-up call allocates nothing.
+  /// A non-finite mean or a negative, NaN or infinite input variance
+  /// throws MomentContractViolation at every precision.
   void propagate(const MeanVar& input, MeanVar& out) const;
 
   /// By-value convenience (allocates the returned batch).

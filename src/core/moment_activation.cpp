@@ -62,7 +62,8 @@ void activation_batch(const PiecewiseLinear& f, T* mean, T* var,
                                    unsigned char*),
                       T det_var) {
   for (std::size_t i = 0; i < n; ++i)
-    APDS_CHECK_MSG(var[i] >= T(0), "moment_activation: negative variance");
+    APDS_CHECK_MSG(var[i] >= T(0),
+                   "moment_activation: negative or NaN variance");
   const PwlView view = f.view();
   parallel_for(0, n, kActivationGrain, [&](std::size_t lo, std::size_t hi) {
     unsigned char det[kKernelMomentTile];

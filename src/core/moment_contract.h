@@ -7,11 +7,14 @@
 // either way the run's uncertainty numbers are garbage, and the earlier it
 // is caught the closer the report is to the cause.
 //
-// check_moment_contract() is always compiled (and unit-tested) so the
-// checker itself cannot rot; the APDS_MOMENT_CONTRACT macro compiles the
-// call sites away unless the build sets APDS_CHECK_MOMENTS (CMake option
-// of the same name), keeping the release hot path free of the O(batch*dim)
-// scan.
+// The entry points (InferenceSession::propagate, ConvApDeepSense::propagate,
+// moment_rnn) check their input unconditionally, once per call: a poisoned
+// input lane ends in the same MomentContractViolation at every precision
+// and kernel tier instead of a NaN row or an error from deep inside the
+// pass. The per-layer sites use the APDS_MOMENT_CONTRACT macros, which
+// compile away unless the build sets APDS_CHECK_MOMENTS (CMake option of
+// the same name), keeping the release hot path free of the O(batch*dim)
+// scan at every layer.
 #pragma once
 
 #include <cmath>
@@ -72,10 +75,10 @@ void check_moment_contract(const MeanVarT<T>& mv, const char* where) {
   }
 }
 
-/// Raw-buffer variant for the arena-resident session path: same invariants
-/// over `n` mean/variance elements laid out with `cols` per row.
-/// Allocation-free on success, so the zero-alloc property holds even in
-/// APDS_CHECK_MOMENTS builds.
+/// Raw-buffer variant for the entry points and the arena-resident session
+/// path: same invariants over `n` mean/variance elements laid out with `cols` per row. A null
+/// `var` checks the means of a point input only. Allocation-free on
+/// success, so the zero-alloc property holds on every checked path.
 template <typename T>
 void check_moment_contract_buffers(const T* mu, const T* var, std::size_t n,
                                    std::size_t cols, const char* where) {
@@ -83,6 +86,7 @@ void check_moment_contract_buffers(const T* mu, const T* var, std::size_t n,
     if (!std::isfinite(static_cast<double>(mu[i])))
       detail::throw_moment_violation(where, "non-finite mean", i / cols,
                                      i % cols, static_cast<double>(mu[i]));
+    if (var == nullptr) continue;
     if (!(var[i] >= T(0)) || !std::isfinite(static_cast<double>(var[i])))
       detail::throw_moment_violation(where, "invalid variance", i / cols,
                                      i % cols, static_cast<double>(var[i]));

@@ -179,46 +179,4 @@ const Mlp& ModelZoo::rdeepsense_model(TaskId id, Activation act) {
                act, /*rdeepsense=*/true);
 }
 
-Mlp ModelZoo::train_ensemble_member(TaskId id, Activation act,
-                                    std::size_t member) {
-  const TaskData& td = data(id);
-  Rng rng(task_seed(config_.seed, id) ^ (0xe5e5ULL + member * 7919ULL) ^
-          (static_cast<std::uint64_t>(act) << 32));
-  Mlp mlp = Mlp::make(dropout_spec(id, act), rng);
-  if (td.kind == TaskKind::kRegression) {
-    train_mlp(mlp, td.x_train, td.y_train, td.x_val, td.y_val, MseLoss(),
-              config_.train, rng);
-  } else {
-    train_mlp(mlp, td.x_train, td.y_train, td.x_val, td.y_val,
-              SoftmaxCrossEntropyLoss(), config_.train, rng);
-  }
-  return mlp;
-}
-
-std::vector<const Mlp*> ModelZoo::ensemble_models(TaskId id, Activation act,
-                                                  std::size_t members) {
-  APDS_CHECK(members >= 2);
-  std::vector<const Mlp*> out;
-  out.reserve(members);
-  for (std::size_t m = 0; m < members; ++m) {
-    const std::string key = task_name(id) + "_" + activation_name(act) +
-                            "_ens" + std::to_string(m);
-    auto it = models_.find(key);
-    if (it == models_.end()) {
-      const std::string path = config_.cache_dir + "/" + key + ".apds";
-      if (is_model_file(path)) {
-        APDS_INFO("loading cached model " << path);
-        it = models_.emplace(key, load_model(path)).first;
-      } else {
-        APDS_INFO("training ensemble member " << key);
-        Mlp mlp = train_ensemble_member(id, act, m);
-        save_model(mlp, path);
-        it = models_.emplace(key, std::move(mlp)).first;
-      }
-    }
-    out.push_back(&it->second);
-  }
-  return out;
-}
-
 }  // namespace apds

@@ -80,11 +80,6 @@ class ModelZoo {
   /// regression, dropout-regularized softmax for classification.
   const Mlp& rdeepsense_model(TaskId id, Activation act);
 
-  /// Deep-ensemble members (independent initializations, same schedule),
-  /// trained on first request and cached like the other models.
-  std::vector<const Mlp*> ensemble_models(TaskId id, Activation act,
-                                          std::size_t members);
-
   /// The MlpSpec the zoo uses for a task's dropout network.
   MlpSpec dropout_spec(TaskId id, Activation act);
 
@@ -92,7 +87,6 @@ class ModelZoo {
   const Mlp& model(const std::string& key, TaskId id, Activation act,
                    bool rdeepsense);
   Mlp train_model(TaskId id, Activation act, bool rdeepsense);
-  Mlp train_ensemble_member(TaskId id, Activation act, std::size_t member);
   TaskData make_data(TaskId id);
 
   ZooConfig config_;

@@ -1,6 +1,6 @@
 // Reusable worker-thread pool powering every parallel kernel in the
-// inference stack (GEMM, activation moments, MCDrop sample draws, ensemble
-// member passes, conv moment propagators).
+// inference stack (GEMM, activation moments, MCDrop sample draws, conv
+// moment propagators).
 //
 // Design goals, in order:
 //  * Determinism: parallel_for splits [begin, end) into contiguous chunks

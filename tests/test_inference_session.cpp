@@ -191,15 +191,19 @@ TEST(InferenceSession, ApDeepSenseBuildsOneSessionUnderConcurrentFirstUse) {
 }
 
 // The tentpole claim: a warmed-up propagate() into a reused output batch
-// performs ZERO heap allocations, at every precision, on both the scalar
-// and the natively-dispatched kernel tiers, with and without pool workers.
+// performs ZERO heap allocations, at every precision, for ReLU and the
+// multi-piece tanh/sigmoid surrogates, on both the scalar and the
+// natively-dispatched kernel tiers, with and without pool workers.
 // Process-wide counters are used so a worker thread allocating would fail
 // the test too, not just the calling thread.
 TEST(InferenceSession, SteadyStatePropagateAllocatesNothing) {
   ASSERT_TRUE(obs::alloc_hooks_active());
   GlobalKnobGuard restore;
   Rng rng(43);
-  const Mlp mlp = random_mlp({12, 32, 32, 5}, Activation::kRelu, 0.9, rng);
+  std::vector<Mlp> mlps;
+  for (const Activation act :
+       {Activation::kRelu, Activation::kTanh, Activation::kSigmoid})
+    mlps.push_back(random_mlp({12, 32, 32, 5}, act, 0.9, rng));
   const Matrix x = random_matrix(16, 12, rng);
   const MeanVar input = MeanVar::point(x);
 
@@ -208,24 +212,28 @@ TEST(InferenceSession, SteadyStatePropagateAllocatesNothing) {
     for (const KernelBackend backend :
          {KernelBackend::kScalar, best_supported_backend()}) {
       set_global_kernel_backend(backend);
-      for (const Precision precision :
-           {Precision::kF64, Precision::kF32, Precision::kI8}) {
-        SCOPED_TRACE(std::string(precision_name(precision)) + "/" +
-                     kernel_backend_name(backend) + "/t" +
-                     std::to_string(threads));
-        SessionConfig cfg;
-        cfg.precision = precision;
-        const InferenceSession session(mlp, cfg);
-        MeanVar out;
-        // Warmup: plans the arena, sizes `out`, touches every pool worker.
-        for (int i = 0; i < 3; ++i) session.propagate(input, out);
+      for (const Mlp& mlp : mlps) {
+        for (const Precision precision :
+             {Precision::kF64, Precision::kF32, Precision::kI8}) {
+          SCOPED_TRACE(std::string(precision_name(precision)) + "/" +
+                       activation_name(mlp.layer(0).act) + "/" +
+                       kernel_backend_name(backend) + "/t" +
+                       std::to_string(threads));
+          SessionConfig cfg;
+          cfg.precision = precision;
+          const InferenceSession session(mlp, cfg);
+          MeanVar out;
+          // Warmup: plans the arena, sizes `out`, touches every pool
+          // worker.
+          for (int i = 0; i < 3; ++i) session.propagate(input, out);
 
-        const obs::AllocCounters before = obs::process_alloc_counters();
-        for (int i = 0; i < 5; ++i) session.propagate(input, out);
-        const obs::AllocCounters delta =
-            obs::process_alloc_counters() - before;
-        EXPECT_EQ(delta.allocs, 0u);
-        EXPECT_EQ(delta.bytes, 0u);
+          const obs::AllocCounters before = obs::process_alloc_counters();
+          for (int i = 0; i < 5; ++i) session.propagate(input, out);
+          const obs::AllocCounters delta =
+              obs::process_alloc_counters() - before;
+          EXPECT_EQ(delta.allocs, 0u);
+          EXPECT_EQ(delta.bytes, 0u);
+        }
       }
     }
   }

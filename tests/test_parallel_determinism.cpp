@@ -16,7 +16,6 @@
 #include "tensor/gemm.h"
 #include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
-#include "uncertainty/ensemble.h"
 #include "uncertainty/mcdrop.h"
 
 namespace apds {
@@ -193,28 +192,6 @@ TEST(ParallelDeterminism, McDropEstimatorBitIdentical) {
   const auto parallel = with_threads(4, run);
   EXPECT_EQ(max_abs_diff(serial.mean, parallel.mean), 0.0);
   EXPECT_EQ(max_abs_diff(serial.var, parallel.var), 0.0);
-}
-
-TEST(ParallelDeterminism, DeepEnsembleBitIdentical) {
-  Rng rng(6);
-  std::vector<Mlp> members;
-  for (int m = 0; m < 3; ++m)
-    members.push_back(wide_net(Activation::kTanh, 1.0, rng));
-  std::vector<const Mlp*> ptrs;
-  for (const Mlp& m : members) ptrs.push_back(&m);
-  const DeepEnsemble ensemble(ptrs);
-  const Matrix x = random_matrix(4, 16, rng);
-
-  auto run_reg = [&] { return ensemble.predict_regression(x); };
-  const auto reg1 = with_threads(1, run_reg);
-  const auto reg4 = with_threads(4, run_reg);
-  EXPECT_EQ(max_abs_diff(reg1.mean, reg4.mean), 0.0);
-  EXPECT_EQ(max_abs_diff(reg1.var, reg4.var), 0.0);
-
-  auto run_cls = [&] { return ensemble.predict_classification(x); };
-  const auto cls1 = with_threads(1, run_cls);
-  const auto cls4 = with_threads(4, run_cls);
-  EXPECT_EQ(max_abs_diff(cls1.probs, cls4.probs), 0.0);
 }
 
 TEST(ParallelDeterminism, ConvApDeepSenseBitIdentical) {

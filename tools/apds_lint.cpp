@@ -10,13 +10,11 @@
 // by spaces, offsets preserved — and the rules below run over the masked
 // text, so prose and log strings never trigger them.
 //
-// Most rules are per-file. Two are whole-program: the scan first loads
+// Most rules are per-file. One is whole-program: the scan first loads
 // every file into a corpus (masked text + its #include references), then
-// `layer-dag` checks the module dependency order over the include graph
-// and `hot-path-alloc` walks a heuristic call graph from the
-// InferenceSession/moment-kernel roots looking for reachable heap
-// allocation sites. `--include-graph` prints the module-level include
-// graph the cross-TU rules computed (with `--dot` as Graphviz).
+// `layer-dag` checks the module dependency order over the include graph.
+// `--include-graph` prints the module-level include graph that rule
+// computed (with `--dot` as Graphviz).
 //
 // Rules (id — what it rejects):
 //   no-unseeded-rng   rand()/srand()/std::random_device anywhere except the
@@ -70,15 +68,6 @@
 //                     (obs/request_context.h sits at the common layer,
 //                     platform/cost_model.* at the metrics layer — see
 //                     docs/STATIC_ANALYSIS.md).
-//   hot-path-alloc    [cross-TU] a heap allocation site (new,
-//                     make_unique/make_shared, container resize/reserve/
-//                     push_back/..., container-typed locals) in a function
-//                     reachable from InferenceSession::propagate or the
-//                     moment kernel entry points, outside the arena/
-//                     planner allowlist. The zero-alloc steady state is a
-//                     load-bearing performance contract
-//                     (tests/test_inference_session.cpp measures it; this
-//                     rule proves it statically for the whole call graph).
 //
 // Suppressions (in a comment on the violation line or the line above):
 //   // apds-lint: allow(<rule>[, <rule>...])   — suppress on this/next line
@@ -307,10 +296,6 @@ constexpr RuleInfo kRules[] = {
      "[cross-TU] include into a same-or-higher layer of the DESIGN.md "
      "module order (common < stats < platform < tensor < obs < nn < core < "
      "conv < uncertainty < metrics < data < eval), or an include cycle"},
-    {"hot-path-alloc",
-     "[cross-TU] heap allocation site reachable from "
-     "InferenceSession::propagate or the moment kernels, outside the "
-     "arena/planner allowlist — breaks the zero-alloc steady state"},
 };
 
 /// Per-file suppression state parsed from comment text.
@@ -765,8 +750,8 @@ void rule_kernel_isa_flags(const MaskedSource& src, const std::string& rel,
 
 // ---------------------------------------------------------------------------
 // Cross-TU corpus: every scanned file retained with its masked text,
-// suppressions and #include references, so whole-program rules can see the
-// include graph and a heuristic symbol index.
+// suppressions and #include references, so the whole-program rule can see
+// the include graph.
 // ---------------------------------------------------------------------------
 
 struct IncludeRef {
@@ -1040,492 +1025,6 @@ void write_module_graph_dot(const ModuleGraph& g, const fs::path& out_path) {
 }
 
 // ---------------------------------------------------------------------------
-// hot-path-alloc: static zero-alloc proof. Index every function definition
-// in src/ (heuristic, token-level), build bare-name call edges, walk from
-// the InferenceSession/moment-kernel roots, and flag heap allocation sites
-// in everything reachable outside the arena/planner allowlist.
-// ---------------------------------------------------------------------------
-
-/// A heuristically extracted function definition.
-struct FuncDef {
-  std::string name;  ///< qualified name as written, whitespace removed
-  std::string bare;  ///< last :: component
-  int file = 0;      ///< index into the corpus
-  std::size_t line = 0;
-  std::size_t body_begin = 0;  ///< offset of '{' in the stripped code
-  std::size_t body_end = 0;    ///< offset past the matching '}'
-};
-
-/// Names that look like calls but are language constructs or casts.
-bool is_non_function_keyword(const std::string& bare) {
-  static const std::set<std::string> kws = {
-      "if",        "for",        "while",       "switch",
-      "catch",     "return",     "sizeof",      "alignof",
-      "alignas",   "decltype",   "static_assert", "new",
-      "delete",    "throw",      "else",        "do",
-      "case",      "goto",       "not",         "and",
-      "or",        "xor",        "assert",      "defined",
-      "constexpr", "const_cast", "static_cast", "dynamic_cast",
-      "reinterpret_cast", "typeid", "noexcept", "requires",
-      "template",  "using",      "namespace",   "operator"};
-  return kws.count(bare) > 0;
-}
-
-/// Container growth methods: flagged as allocation sites when called, and
-/// never descended into (the allocation IS the call).
-bool is_growth_method(const std::string& bare) {
-  static const std::set<std::string> growth = {
-      "resize",       "reserve", "push_back", "emplace_back",
-      "emplace",      "insert",  "assign",    "append"};
-  return growth.count(bare) > 0;
-}
-
-/// ALL_CAPS_WITH_UNDERSCORE identifiers are macro invocations, not
-/// definitions — treating APDS_CAPABILITY("mutex") as a function would
-/// swallow the class body that follows it.
-bool looks_like_macro(const std::string& name) {
-  if (name.find('_') == std::string::npos) return false;
-  for (const char c : name)
-    if (std::islower(static_cast<unsigned char>(c)) != 0 || c == ':')
-      return false;
-  return true;
-}
-
-/// Blank preprocessor lines (and their backslash continuations) so macro
-/// definitions never read as function definitions or call sites.
-std::string strip_preprocessor(const std::string& code) {
-  std::string out = code;
-  std::size_t pos = 0;
-  bool continued = false;
-  while (pos < out.size()) {
-    std::size_t eol = out.find('\n', pos);
-    if (eol == std::string::npos) eol = out.size();
-    std::size_t i = pos;
-    while (i < eol && (out[i] == ' ' || out[i] == '\t')) ++i;
-    const bool directive = continued || (i < eol && out[i] == '#');
-    if (directive) {
-      continued = eol > pos && out[eol - 1] == '\\';
-      for (std::size_t k = pos; k < eol; ++k) out[k] = ' ';
-    } else {
-      continued = false;
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
-/// Index past the group closer matching the opener at `i`, or npos.
-std::size_t skip_balanced(const std::string& code, std::size_t i) {
-  const char open = code[i];
-  const char close =
-      open == '(' ? ')' : open == '{' ? '}' : open == '[' ? ']' : '\0';
-  if (close == '\0') return std::string::npos;
-  int depth = 0;
-  for (; i < code.size(); ++i) {
-    if (code[i] == open) ++depth;
-    else if (code[i] == close && --depth == 0) return i + 1;
-  }
-  return std::string::npos;
-}
-
-/// Offset of the function body '{' that follows a parameter list ending at
-/// `i` (just past the ')'), or npos when this is a declaration or call.
-/// Understands const/noexcept/override/trailing-return tokens and
-/// constructor initializer lists (both paren and brace member init).
-std::size_t find_body_start(const std::string& code, std::size_t i) {
-  const std::size_t limit = std::min(code.size(), i + 800);
-  while (i < limit) {
-    const char c = code[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '{') return i;
-    if (c == ';' || c == '}' || c == ')' || c == ',') return std::string::npos;
-    if (c == '(') {
-      i = skip_balanced(code, i);
-      if (i == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == ':') {
-      if (i + 1 < code.size() && code[i + 1] == ':') {
-        i += 2;
-        continue;
-      }
-      // Constructor initializer list: name (...)|{...} [, ...] then body.
-      ++i;
-      for (;;) {
-        while (i < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[i])))
-          ++i;
-        const std::size_t start = i;
-        while (i < code.size() && code[i] != '(' && code[i] != '{' &&
-               code[i] != ';' && code[i] != '}' && i - start < 200)
-          ++i;
-        if (i >= code.size() || code[i] == ';' || code[i] == '}' ||
-            i - start >= 200)
-          return std::string::npos;
-        i = skip_balanced(code, i);
-        if (i == std::string::npos) return std::string::npos;
-        while (i < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[i])))
-          ++i;
-        if (i < code.size() && code[i] == ',') {
-          ++i;
-          continue;
-        }
-        break;
-      }
-      if (i < code.size() && code[i] == '{') return i;
-      return std::string::npos;
-    }
-    ++i;  // const, noexcept tokens, ->, type names, &, *, try, ...
-  }
-  return std::string::npos;
-}
-
-std::string collapse_whitespace(const std::string& s) {
-  std::string out;
-  for (const char c : s)
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) out.push_back(c);
-  return out;
-}
-
-std::string bare_name(const std::string& qualified) {
-  const std::size_t sep = qualified.rfind("::");
-  std::string bare =
-      sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-  if (!bare.empty() && bare[0] == '~') bare.erase(0, 1);
-  return bare;
-}
-
-const std::regex& callable_re() {
-  static const std::regex re(
-      R"(([A-Za-z_~][A-Za-z0-9_]*(?:\s*::\s*~?[A-Za-z_][A-Za-z0-9_]*)*)\s*\()");
-  return re;
-}
-
-/// Extract function definitions from one file's preprocessed masked code.
-/// Found bodies are skipped, so calls inside them never read as nested
-/// definitions.
-void index_functions(const std::string& code, int file,
-                     const MaskedSource& src, std::vector<FuncDef>* defs) {
-  std::size_t skip_until = 0;
-  for (auto it = std::sregex_iterator(code.begin(), code.end(),
-                                      callable_re());
-       it != std::sregex_iterator(); ++it) {
-    const auto at = static_cast<std::size_t>(it->position());
-    if (at < skip_until) continue;
-    const std::string name = collapse_whitespace((*it)[1].str());
-    const std::string bare = bare_name(name);
-    if (is_non_function_keyword(bare) || looks_like_macro(name)) continue;
-    const std::size_t open = at + static_cast<std::size_t>(it->length()) - 1;
-    const std::size_t after_params = skip_balanced(code, open);
-    if (after_params == std::string::npos) continue;
-    const std::size_t body = find_body_start(code, after_params);
-    if (body == std::string::npos) continue;
-    const std::size_t body_end = skip_balanced(code, body);
-    if (body_end == std::string::npos) {
-      skip_until = code.size();
-      continue;
-    }
-    defs->push_back(
-        {name, bare, file, src.line_of(at), body, body_end});
-    skip_until = body_end;
-  }
-}
-
-/// One heap allocation site inside a function body.
-struct AllocSite {
-  std::size_t offset = 0;
-  std::string what;
-};
-
-void collect_alloc_sites(const std::string& code, std::size_t begin,
-                         std::size_t end, std::vector<AllocSite>* out) {
-  const auto first = code.begin() + static_cast<std::ptrdiff_t>(begin);
-  const auto last = code.begin() + static_cast<std::ptrdiff_t>(end);
-
-  // new expressions (operator new declarations can't appear in a body).
-  static const std::regex new_re(R"(\bnew\b)");
-  for (auto it = std::regex_iterator(first, last, new_re);
-       it != std::regex_iterator<std::string::const_iterator>(); ++it) {
-    const std::size_t at = begin + static_cast<std::size_t>(it->position());
-    std::size_t p = at;
-    while (p > 0 && std::isspace(static_cast<unsigned char>(code[p - 1])))
-      --p;
-    if (p >= 8 && code.compare(p - 8, 8, "operator") == 0) continue;
-    out->push_back({at, "'new' expression"});
-  }
-
-  // make_unique / make_shared.
-  static const std::regex make_re(R"(\bmake_(unique|shared)\s*[<(])");
-  for (auto it = std::regex_iterator(first, last, make_re);
-       it != std::regex_iterator<std::string::const_iterator>(); ++it)
-    out->push_back({begin + static_cast<std::size_t>(it->position()),
-                    "std::make_" + (*it)[1].str() + " call"});
-
-  // Container growth calls through . or ->.
-  static const std::regex grow_re(
-      R"((\.|->)\s*(resize|reserve|push_back|emplace_back|emplace|insert|assign|append)\s*\()");
-  for (auto it = std::regex_iterator(first, last, grow_re);
-       it != std::regex_iterator<std::string::const_iterator>(); ++it)
-    out->push_back({begin + static_cast<std::size_t>(it->position()),
-                    "container ." + (*it)[2].str() + "() call"});
-
-  // Initialized locals of allocating container types. A bare declaration
-  // (`MeanVar out;`) is free — default construction allocates nothing —
-  // but construction with arguments or assignment does.
-  static const std::regex container_re(
-      R"(\b(std\s*::\s*(?:vector|deque|list|map|multimap|set|multiset|unordered_map|unordered_set|string|wstring|basic_string)|Matrix[FT]?|MeanVar[FT]?|GaussianVec|QuantizedDenseLayer)\b)");
-  for (auto it = std::regex_iterator(first, last, container_re);
-       it != std::regex_iterator<std::string::const_iterator>(); ++it) {
-    const std::size_t at = begin + static_cast<std::size_t>(it->position());
-    if (at > begin &&
-        (ident_char(code[at - 1]) || code[at - 1] == ':' ||
-         code[at - 1] == '<' || code[at - 1] == '~'))
-      continue;  // nested template arg, qualified use, or dtor name
-    std::size_t i = at + static_cast<std::size_t>(it->length());
-    // Optional template argument list.
-    if (i < end && code[i] == '<') {
-      int depth = 0;
-      const std::size_t guard = i + 300;
-      for (; i < end && i < guard; ++i) {
-        if (code[i] == '<') ++depth;
-        else if (code[i] == '>' && --depth == 0) {
-          ++i;
-          break;
-        } else if (code[i] == ';' || code[i] == '{' || code[i] == '(') {
-          depth = -1;
-          break;
-        }
-      }
-      if (i >= end || depth != 0) continue;
-    }
-    // Require whitespace, then a variable name, then an initializer.
-    if (i >= end ||
-        std::isspace(static_cast<unsigned char>(code[i])) == 0)
-      continue;
-    while (i < end && std::isspace(static_cast<unsigned char>(code[i]))) ++i;
-    if (i >= end || (!ident_char(code[i]) || std::isdigit(
-                        static_cast<unsigned char>(code[i])) != 0))
-      continue;
-    const std::size_t var_start = i;
-    while (i < end && ident_char(code[i])) ++i;
-    const std::string var = code.substr(var_start, i - var_start);
-    if (is_non_function_keyword(var)) continue;
-    while (i < end && std::isspace(static_cast<unsigned char>(code[i]))) ++i;
-    if (i < end && (code[i] == '(' || code[i] == '{' || code[i] == '='))
-      out->push_back(
-          {at, "initialized local '" + var + "' of an allocating type"});
-  }
-
-  std::sort(out->begin(), out->end(),
-            [](const AllocSite& a, const AllocSite& b) {
-              return a.offset < b.offset;
-            });
-}
-
-/// One call site extracted from a body: the (collapsed) name as written
-/// plus whether it was a member access (obj.f(...) / p->f(...)).
-struct CallRef {
-  std::string name;
-  std::string bare;
-  bool member = false;
-
-  bool operator<(const CallRef& o) const {
-    return std::tie(name, member) < std::tie(o.name, o.member);
-  }
-};
-
-/// Everything called from a body (heuristic: identifier directly before
-/// '('), std:: and growth methods excluded.
-void collect_calls(const std::string& code, std::size_t begin,
-                   std::size_t end, std::set<CallRef>* out) {
-  const auto first = code.begin() + static_cast<std::ptrdiff_t>(begin);
-  const auto last = code.begin() + static_cast<std::ptrdiff_t>(end);
-  for (auto it = std::regex_iterator(first, last, callable_re());
-       it != std::regex_iterator<std::string::const_iterator>(); ++it) {
-    const std::string name = collapse_whitespace((*it)[1].str());
-    if (has_prefix(name, "std::")) continue;
-    const std::string bare = bare_name(name);
-    if (is_non_function_keyword(bare) || looks_like_macro(name)) continue;
-    if (is_growth_method(bare)) continue;  // terminal: flagged as a site
-    const std::size_t at = begin + static_cast<std::size_t>(it->position());
-    std::size_t p = at;
-    while (p > begin &&
-           std::isspace(static_cast<unsigned char>(code[p - 1])))
-      --p;
-    const bool member =
-        (p > begin && code[p - 1] == '.') ||
-        (p > begin + 1 && code[p - 1] == '>' && code[p - 2] == '-');
-    out->insert({name, bare, member});
-  }
-}
-
-/// Class qualifier of a definition/call name: the second-to-last ::
-/// component ("" for free functions and in-class definitions, which are
-/// written unqualified).
-std::string class_qualifier_of(const std::string& name) {
-  const std::size_t last = name.rfind("::");
-  if (last == std::string::npos) return std::string();
-  const std::size_t prev = name.rfind("::", last - 1);
-  const std::size_t begin = prev == std::string::npos ? 0 : prev + 2;
-  return name.substr(begin, last - begin);
-}
-
-/// Should a call from `caller` resolve to definition `target`?
-/// - An explicitly qualified call (Q::f) matches only names ending Q::f.
-/// - A bare non-member call can only reach the caller's own class or a
-///   free function (that IS C++ name lookup, not a heuristic), so
-///   other-class out-of-line methods never match.
-/// - A member call (obj.f / p->f) matches own-class and unqualified
-///   definitions; an out-of-line method of a *different* class is skipped
-///   — the index has no types, and common accessor names (data, size,
-///   row) collide across the tree. In-class-defined methods are written
-///   unqualified, so they still match; the documented residual blind spot
-///   is only cross-class methods defined out-of-line.
-bool call_matches(const CallRef& call, const std::string& caller_class,
-                  const FuncDef& target) {
-  if (call.name.find("::") != std::string::npos)
-    return target.name == call.name ||
-           has_suffix(target.name, "::" + call.name);
-  const std::string target_class = class_qualifier_of(target.name);
-  if (target_class.empty()) return true;
-  return target_class == caller_class;
-}
-
-/// Files whose functions own allocation by design: the arena/planner layer
-/// itself, observability (disabled-by-default, documented to allocate on
-/// first use), and the logging sink.
-bool alloc_file_allowlisted(const std::string& rel) {
-  return has_suffix(rel, "src/core/arena.h") ||
-         has_suffix(rel, "src/core/arena.cpp") ||
-         has_prefix(rel, "src/obs/") ||
-         has_suffix(rel, "src/common/logging.h") ||
-         has_suffix(rel, "src/common/logging.cpp");
-}
-
-/// Functions sanctioned to allocate even though the hot path reaches them:
-/// the documented slow paths (first-use planning, pool construction,
-/// dispatch resolution) and the by-value conveniences.
-bool alloc_func_allowlisted(const std::string& bare) {
-  static const std::set<std::string> allowed = {
-      // InferenceSession::thread_arena — the planned slow path: one plan +
-      // one arena allocation on first use / replan, then steady state.
-      "thread_arena",
-      // Lazy global pool construction and explicit reconfiguration.
-      "global_pool", "set_global_threads",
-      // MeanVar/GaussianVec::point — by-value point-distribution
-      // constructors used by the allocating conveniences.
-      "point",
-      // One-time kernel dispatch resolution (static init + env parse).
-      "kernel_ops",
-      // One-time precision resolution (env parse, then cached).
-      "global_precision",
-  };
-  return allowed.count(bare) > 0;
-}
-
-/// Call-graph roots: the zero-alloc contract holds from these downward.
-bool is_hot_path_root(const FuncDef& def) {
-  static const char* kQualifiedRoots[] = {
-      "InferenceSession::propagate",
-      "InferenceSession::propagate_f64",
-      "InferenceSession::propagate_f32",
-      "InferenceSession::propagate_i8",
-      "ConvApDeepSense::propagate",
-  };
-  for (const char* root : kQualifiedRoots)
-    if (def.name == root || has_suffix(def.name, std::string("::") + root))
-      return true;
-  static const char* kBareRoots[] = {
-      "moment_linear_into",
-      "moment_linear_act_into",
-      "moment_activation_batch",
-      "moment_conv1d_linear_into",
-      "moment_rnn",
-      "mcdrop_forward_group",
-  };
-  for (const char* root : kBareRoots)
-    if (def.bare == root) return true;
-  return false;
-}
-
-void rule_hot_path_alloc(const Corpus& corpus, Emit out) {
-  // Index definitions across the src/ tree.
-  std::vector<FuncDef> defs;
-  std::vector<std::string> stripped(corpus.files.size());
-  for (std::size_t i = 0; i < corpus.files.size(); ++i) {
-    const FileEntry& f = corpus.files[i];
-    if (!f.cpp || !has_prefix(f.rel, "src/")) continue;
-    stripped[i] = strip_preprocessor(f.src.code);
-    index_functions(stripped[i], static_cast<int>(i), f.src, &defs);
-  }
-
-  std::map<std::string, std::vector<int>> by_bare;
-  for (std::size_t d = 0; d < defs.size(); ++d)
-    by_bare[defs[d].bare].push_back(static_cast<int>(d));
-
-  // BFS from the roots; parent chain retained for the report.
-  std::vector<int> parent(defs.size(), -1);
-  std::vector<char> seen(defs.size(), 0);
-  std::vector<int> queue;
-  for (std::size_t d = 0; d < defs.size(); ++d) {
-    if (!is_hot_path_root(defs[d])) continue;
-    if (alloc_file_allowlisted(corpus.files[defs[d].file].rel)) continue;
-    if (alloc_func_allowlisted(defs[d].bare)) continue;
-    seen[d] = 1;
-    queue.push_back(static_cast<int>(d));
-  }
-
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const int d = queue[qi];
-    const FuncDef& def = defs[static_cast<std::size_t>(d)];
-    const std::string& code = stripped[static_cast<std::size_t>(def.file)];
-    const FileEntry& file = corpus.files[static_cast<std::size_t>(def.file)];
-
-    // Flag this function's allocation sites.
-    std::vector<AllocSite> sites;
-    collect_alloc_sites(code, def.body_begin, def.body_end, &sites);
-    if (!sites.empty()) {
-      std::string chain = def.name;
-      for (int p = parent[static_cast<std::size_t>(d)]; p >= 0;
-           p = parent[static_cast<std::size_t>(p)])
-        chain = defs[static_cast<std::size_t>(p)].name + " -> " + chain;
-      for (const AllocSite& site : sites)
-        emit(out, file.rel, file.src.line_of(site.offset), "hot-path-alloc",
-             site.what + " on the zero-alloc hot path (reachable via " +
-                 chain +
-                 "); plan the buffer into the session arena, or move the "
-                 "work off the steady-state path (see "
-                 "docs/STATIC_ANALYSIS.md for the allowlist)");
-    }
-
-    // Descend into callees.
-    const std::string caller_class = class_qualifier_of(def.name);
-    std::set<CallRef> callees;
-    collect_calls(code, def.body_begin, def.body_end, &callees);
-    for (const CallRef& callee : callees) {
-      const auto it = by_bare.find(callee.bare);
-      if (it == by_bare.end()) continue;
-      for (const int t : it->second) {
-        if (seen[static_cast<std::size_t>(t)]) continue;
-        const FuncDef& target = defs[static_cast<std::size_t>(t)];
-        if (!call_matches(callee, caller_class, target)) continue;
-        if (alloc_file_allowlisted(
-                corpus.files[static_cast<std::size_t>(target.file)].rel))
-          continue;
-        if (alloc_func_allowlisted(target.bare)) continue;
-        seen[static_cast<std::size_t>(t)] = 1;
-        parent[static_cast<std::size_t>(t)] = d;
-        queue.push_back(t);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -1600,11 +1099,10 @@ int usage() {
       "<path>...\n"
       "  scans .cpp/.h/.cc/.hpp and CMakeLists.txt files (directories\n"
       "  recursively; build*/.git/lint_fixtures skipped) for apds project\n"
-      "  invariants, including the cross-TU layer-dag and hot-path-alloc\n"
-      "  rules. --root sets the prefix rule scoping is computed against\n"
-      "  (default: current directory). --include-graph prints the\n"
-      "  module-level include graph instead of linting; --dot also writes\n"
-      "  it as Graphviz.\n"
+      "  invariants, including the cross-TU layer-dag rule. --root sets\n"
+      "  the prefix rule scoping is computed against (default: current\n"
+      "  directory). --include-graph prints the module-level include graph\n"
+      "  instead of linting; --dot also writes it as Graphviz.\n"
       "  exit codes: 0 clean, 1 violations, 2 usage/IO error\n");
   return 2;
 }
@@ -1720,11 +1218,9 @@ int main(int argc, char** argv) {
         if (f.cmake) rule.fn(f.src, f.rel, found);
     });
 
-  // Cross-TU rules over the whole corpus.
+  // Cross-TU rule over the whole corpus.
   timed_rule(&report, "layer-dag",
              [&] { rule_layer_dag(corpus, root, found); });
-  timed_rule(&report, "hot-path-alloc",
-             [&] { rule_hot_path_alloc(corpus, found); });
 
   // Suppression filtering, keyed by each violation's file.
   std::map<std::string, const Suppressions*> sup_by_rel;
