@@ -61,9 +61,7 @@ void activation_batch(const PiecewiseLinear& f, T* mean, T* var,
                       bool (*tile)(const PwlView&, T*, T*, std::size_t, T,
                                    unsigned char*),
                       T det_var) {
-  for (std::size_t i = 0; i < n; ++i)
-    APDS_CHECK_MSG(var[i] >= T(0),
-                   "moment_activation: negative or NaN variance");
+  check_activation_variances(var, n);
   const PwlView view = f.view();
   parallel_for(0, n, kActivationGrain, [&](std::size_t lo, std::size_t hi) {
     unsigned char det[kKernelMomentTile];
@@ -83,7 +81,22 @@ void activation_batch(const PiecewiseLinear& f, T* mean, T* var,
   });
 }
 
+template <typename T>
+void check_variances(const T* var, std::size_t n) {
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) ok &= var[i] >= T(0);
+  APDS_CHECK_MSG(ok, "moment_activation: negative or NaN variance");
+}
+
 }  // namespace
+
+void check_activation_variances(const double* var, std::size_t n) {
+  check_variances(var, n);
+}
+
+void check_activation_variances(const float* var, std::size_t n) {
+  check_variances(var, n);
+}
 
 ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
                                  double var) {

@@ -34,6 +34,14 @@ inline constexpr double kDeterministicVar = 1e-18;
 /// more accurate than the closed form evaluated in single precision.
 inline constexpr float kDeterministicVarF = 1e-12f;
 
+/// The variance check of every batched activation entry, run before any
+/// lane is written: throws InvalidArgument "moment_activation: negative or
+/// NaN variance" unless every var[i] >= 0. The fused f32/i8 layers run it
+/// on each pre-activation stack tile, so a finite input whose moments
+/// overflow inside a pass ends in the same error at every precision.
+void check_activation_variances(const double* var, std::size_t n);
+void check_activation_variances(const float* var, std::size_t n);
+
 /// The single-value closed form, evaluated with libm erfc/exp. It is the
 /// independent accuracy oracle of the batched paths below, and the fixup
 /// they use for near-deterministic lanes. Throws InvalidArgument on a
@@ -50,15 +58,17 @@ ScalarMoments activation_moments(const PiecewiseLinear& f, double mu,
 /// Elements are partitioned across the thread pool, and each worker walks
 /// its span in kKernelMomentTile tiles through the runtime-dispatched
 /// act_tile_f64 (tensor/kernels/, scalar/AVX2/AVX-512 tiers of one shared
-/// body): per tile, every boundary of the surrogate is standardized and
-/// its phi/Phi evaluated once, branch-free and without libm (a Cody
-/// rational erfc sharing one polynomial exp(-z^2/2) with the pdf), then
-/// per-piece contributions are formed by differencing adjacent boundary
-/// evaluations. Lanes with var < kDeterministicVar are finished by
+/// body): each block of native vectors of lanes walks every boundary of
+/// the surrogate in registers, standardizes it and evaluates its phi/Phi
+/// once, branch-free and without libm (a Cody rational erfc sharing one
+/// polynomial exp(-z^2/2) with the pdf), and forms the per-piece
+/// contributions by differencing adjacent boundary evaluations. A boundary
+/// 9 or more sigmas from a lane's mean contributes its limit (phi = 0,
+/// Phi = 0 or 1). Lanes with var < kDeterministicVar are finished by
 /// activation_moments. Every element's arithmetic is independent of its
-/// neighbours, so results are bit-identical across thread counts within a
-/// tier; across tiers (FMA contraction) and against activation_moments
-/// they agree to ~1e-15 relative (docs/PERFORMANCE.md).
+/// neighbours, so results are bit-identical across thread counts and tile
+/// positions within a tier; across tiers (FMA contraction) and against
+/// activation_moments they agree to ~1e-15 relative (docs/PERFORMANCE.md).
 ///
 /// Hostile-lane contract, the same on every tier:
 ///   * a negative or NaN variance anywhere throws InvalidArgument before

@@ -34,9 +34,10 @@ void prep_inputs(const float* mu, const float* var, std::size_t count,
 
 /// Shared tile loop of both fused paths: `moment_tile` fills one row-block
 /// x column-tile block's pre-activation moments (stack buffers), then the
-/// activation tile runs in place row by row and the post-activation
-/// moments spill to the output. Work units are (row-block, column-tile)
-/// pairs with fixed block boundaries, so the per-element arithmetic — and
+/// activation tile runs in place row by row, after the f64 path's variance
+/// check, and the post-activation moments spill to the output. Work units
+/// are (row-block, column-tile) pairs with fixed block boundaries, so the
+/// per-element arithmetic — and
 /// therefore the result — is independent of the thread count. The row
 /// blocking exists for weight reuse: the moment kernel streams each W
 /// slice once per block instead of once per batch row.
@@ -65,6 +66,7 @@ void fused_tiles(float* out_mean, float* out_var, const PiecewiseLinear& f,
           for (std::size_t r = r0; r < r1; ++r) {
             float* rm = tmean + (r - r0) * width;
             float* rv = tvar + (r - r0) * width;
+            check_activation_variances(rv, width);
             if (ops.act_tile_f32(view, rm, rv, width, kDeterministicVarF,
                                  det)) {
               // Near-deterministic lanes still hold pre-activation

@@ -16,6 +16,13 @@
 namespace apds {
 namespace {
 
+// Whether the per-layer contract sites (APDS_MOMENT_CONTRACT) are built.
+#if defined(APDS_CHECK_MOMENTS) && APDS_CHECK_MOMENTS
+constexpr bool kCheckedBuild = true;
+#else
+constexpr bool kCheckedBuild = false;
+#endif
+
 MeanVar healthy_batch() {
   MeanVar mv(2, 3);
   for (std::size_t i = 0; i < mv.mean.size(); ++i) {
@@ -82,7 +89,11 @@ TEST(MomentContract, MessageNamesSiteAndElement) {
 // of a 2-row batch ends in MomentContractViolation at f64, f32 and i8, on
 // the scalar and native kernel tiers, for InferenceSession (through
 // ApDeepSense), ConvApDeepSense and moment_rnn — never in a NaN row, a
-// silently accepted variance, or an error from deep inside the pass.
+// silently accepted variance, or an error from deep inside the pass. A
+// finite input whose moments overflow inside the pass (a 1e300 mean) ends
+// in the same InvalidArgument from the activation's variance check at
+// every precision (a checked build may stop earlier, at a per-layer
+// contract site).
 TEST(MomentContract, PropagateRejectsPoisonedInput) {
   struct Restore {
     ~Restore() {
@@ -148,6 +159,22 @@ TEST(MomentContract, PropagateRejectsPoisonedInput) {
           EXPECT_THROW(apd.propagate(poisoned(dense_in, p.on_var, p.value)),
                        MomentContractViolation)
               << (p.on_var ? "var " : "mean ") << p.value;
+        // A finite mean passes the entry contract, but its square
+        // overflows in the first layer's variance (and the f32/i8 cast
+        // makes it +Inf): every precision ends in the activation's
+        // variance check, never in a NaN row. A checked build may stop
+        // one step earlier, at the f64 linear output's contract site.
+        try {
+          apd.propagate(poisoned(dense_in, false, 1e300));
+          ADD_FAILURE() << "mean 1e300 did not throw";
+        } catch (const MomentContractViolation& e) {
+          EXPECT_TRUE(kCheckedBuild) << e.what();
+        } catch (const InvalidArgument& e) {
+          EXPECT_NE(std::string(e.what()).find(
+                        "moment_activation: negative or NaN variance"),
+                    std::string::npos)
+              << e.what();
+        }
       }
       EXPECT_NO_THROW(conv.propagate(conv_in));
       for (const auto& p : poisons)
