@@ -10,7 +10,9 @@
 #include "core/moment_contract.h"
 #include "core/moment_linear.h"
 #include "nn/mlp.h"
+#include "platform/thread_pool.h"
 #include "tensor/gemm.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/ops.h"
 
 namespace apds {
@@ -46,6 +48,10 @@ RnnCell make_rnn_cell(std::size_t input_dim, std::size_t hidden_dim,
 }
 
 namespace {
+// Below this many flops per chunk, forking the input map costs more than
+// it saves.
+constexpr std::size_t kMinFlopsPerChunk = 1 << 16;
+
 Matrix step_input(const Matrix& x_seq, std::size_t step,
                   std::size_t input_dim) {
   Matrix x(x_seq.rows(), input_dim);
@@ -132,11 +138,18 @@ void moment_rnn(const RnnCell& cell, const Matrix& x_seq, std::size_t steps,
   double* sm = reinterpret_cast<double*>(scratch + xin_bytes + 4 * slot);
   double* vi = reinterpret_cast<double*>(scratch + xin_bytes + 5 * slot);
 
-  // The input part of every step in one product: x_seq's rows are
-  // step-interleaved, so read row-major it is [batch * steps, input_dim]
-  // and row b * steps + t is sample b's input at step t.
-  gemm_buffers(x_seq.data(), cell.w_in.data(), xin, batch * steps,
-               cell.input_dim(), hidden, /*accumulate=*/false);
+  // The input part of every step in one product on the dispatched GEMM
+  // tile: x_seq's rows are step-interleaved, so read row-major it is
+  // [batch * steps, input_dim] and row b * steps + t is sample b's input
+  // at step t. Any row split gives the same bits.
+  const KernelOps& ops = kernel_ops();
+  const std::size_t in_dim = cell.input_dim();
+  const std::size_t grain = std::max<std::size_t>(
+      1, kMinFlopsPerChunk / (2 * in_dim * hidden + 1));
+  parallel_for(0, batch * steps, grain, [&](std::size_t r0, std::size_t r1) {
+    ops.gemm_tile_f64(x_seq.data(), cell.w_in.data(), xin, in_dim, hidden, r0,
+                      r1, 0, hidden);
+  });
 
   // Caller-owned output: resize keeps capacity, so a reused `out`
   // allocates nothing once warm.

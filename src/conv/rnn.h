@@ -64,10 +64,13 @@ MeanVar moment_rnn(const RnnCell& cell, const Matrix& x_seq,
 /// before any work (InvalidArgument naming the argument and its value),
 /// and a non-finite sequence value throws MomentContractViolation.
 /// All steps' input maps are one [batch * steps, input_dim] x W_in product
-/// over x_seq read in place; each step then runs moment_linear_into on the
-/// recurrent part and the dispatched f64 activation tile, ping-ponging one
-/// hidden-state slot pair in the thread's scratch arena. Bit-identical
-/// across pool widths within a kernel tier.
+/// over x_seq read in place, on the dispatched f64 GEMM tile
+/// (kernel_ops().gemm_tile_f64: bit-identical to gemm_buffers on the
+/// scalar tier, FMA-contracted on avx2/avx512); each step then runs
+/// moment_linear_into on the recurrent part and the dispatched f64
+/// activation tile, ping-ponging one hidden-state slot pair in the
+/// thread's scratch arena. Bit-identical across pool widths within a
+/// kernel tier.
 void moment_rnn(const RnnCell& cell, const Matrix& x_seq, std::size_t steps,
                 const PiecewiseLinear& surrogate, MeanVar& out);
 
