@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -247,6 +248,90 @@ TEST(KernelAgreement, ActivationTileFlagsDeterministicLanes) {
     EXPECT_TRUE(kernel_ops(back).act_tile_f32(view, m2, v2, 3,
                                               kDeterministicVarF, det2));
     for (const unsigned char d : det2) EXPECT_EQ(d, 1);
+  }
+}
+
+// The activation tiles are lane-major with a per-lane saturation rule: a
+// lane's bits must not depend on the tile around it. Each lane evaluated
+// alone (the single-lane instance) must equal the same lane inside tiles
+// of n = 1, L - 1, L + 1, 2L + 3, 4L + 3 and 128 lanes (L = lanes per
+// native vector of the tier), built from mixed neighbours: lanes whose
+// boundaries all saturate, lanes where some do, unsaturated lanes,
+// near-deterministic lanes, +-0 means and NaN/+-Inf lanes. A skip decided
+// per vector instead of per lane breaks this (the lane alone takes the
+// limit, the same lane beside an unsaturated one the computed value).
+template <typename T, typename Tile>
+void expect_act_lanes_position_invariant(Tile tile, std::size_t lanes,
+                                         T det_threshold, const char* tier) {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const std::vector<std::pair<T, T>> kinds = {
+      {T(30), T(0.01)},   {T(-40), T(1)},     {T(3), T(0.04)},
+      {T(-2.2), T(0.01)}, {T(0.4), T(0.6)},   {T(-0.9), T(2)},
+      {T(0.2), T(0)},     {T(1.5), det_threshold / T(4)},
+      {T(0), T(0.3)},     {-T(0), T(0.3)},    {nan, T(1)},
+      {inf, T(1)},        {-inf, T(1)},       {T(0.5), inf},
+      {T(7), T(0.25)},    {T(-5), T(1e-4)},   {T(2.5e3), T(1e6)}};
+  const auto same = [](T a, T b) {
+    return (std::isnan(a) && std::isnan(b)) ||
+           std::memcmp(&a, &b, sizeof(T)) == 0;
+  };
+  for (const Activation act :
+       {Activation::kRelu, Activation::kTanh, Activation::kSigmoid}) {
+    const PiecewiseLinear f = PiecewiseLinear::for_activation(act, 7);
+    const PwlView view = f.view();
+    // Each kind alone, through the single-lane instance.
+    std::vector<T> alone_m, alone_v;
+    std::vector<bool> alone_det;
+    for (const auto& [mu, var] : kinds) {
+      T m = mu, v = var;
+      unsigned char d = 0;
+      alone_det.push_back(tile(view, &m, &v, 1, det_threshold, &d) && d);
+      alone_m.push_back(m);
+      alone_v.push_back(v);
+    }
+    for (const std::size_t n :
+         {std::size_t{1}, lanes - 1, lanes + 1, 2 * lanes + 3,
+          4 * lanes + 3, kKernelMomentTile}) {
+      if (n == 0) continue;
+      for (std::size_t shift = 0; shift < kinds.size(); shift += 5) {
+        std::vector<T> m(n), v(n);
+        std::vector<std::size_t> kind(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          kind[i] = (i * 7 + shift) % kinds.size();
+          m[i] = kinds[kind[i]].first;
+          v[i] = kinds[kind[i]].second;
+        }
+        std::vector<unsigned char> d(n, 0);
+        const bool any_det =
+            tile(view, m.data(), v.data(), n, det_threshold, d.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t k = kind[i];
+          SCOPED_TRACE(::testing::Message()
+                       << tier << " " << activation_name(act) << " n=" << n
+                       << " lane " << i << " mu=" << kinds[k].first
+                       << " var=" << kinds[k].second);
+          EXPECT_EQ(any_det && d[i], alone_det[k]);
+          EXPECT_TRUE(same(m[i], alone_m[k])) << m[i] << " vs " << alone_m[k];
+          EXPECT_TRUE(same(v[i], alone_v[k])) << v[i] << " vs " << alone_v[k];
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelAgreement, ActTileLaneIsPositionInvariant) {
+  for (const KernelBackend back : supported_backends()) {
+    const std::size_t bytes = back == KernelBackend::kAvx512 ? 64
+                              : back == KernelBackend::kAvx2 ? 32
+                                                             : 16;
+    const KernelOps& ops = kernel_ops(back);
+    expect_act_lanes_position_invariant<double>(
+        ops.act_tile_f64, bytes / sizeof(double), kDeterministicVar,
+        kernel_backend_name(back));
+    expect_act_lanes_position_invariant<float>(
+        ops.act_tile_f32, bytes / sizeof(float), kDeterministicVarF,
+        kernel_backend_name(back));
   }
 }
 
