@@ -65,8 +65,12 @@ int main(int argc, char** argv) {
     std::cout << "Design-space comparison — task " << task_name(task)
               << ", DNN-ReLU\n";
     table.print(std::cout);
-    std::cout << "ApDeepSense is the only row with BOTH single-training and "
-                 "near-single-pass cost; the rest trade one for the other.\n";
+    std::cout << "Every row needs one training (RDeepSense's is its own "
+                 "retraining); Point and RDeepSense run one pass, "
+                 "ApDeepSense ~2 analytic, MCDrop-k k. Point's variance is "
+                 "one constant per output; ApDeepSense and MCDrop-k get an "
+                 "input-dependent variance from the dropout-trained net as "
+                 "is, and ApDeepSense does it without sampling.\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";

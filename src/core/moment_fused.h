@@ -6,7 +6,7 @@
 // round-trip costs as much bandwidth as the GEMMs themselves. The fused
 // path computes each output tile's pre-activation moments into stack
 // buffers (one k-pass accumulating the W and W∘W products together),
-// applies the piece-major activation-moment tile while the values are
+// applies the lane-major activation-moment tile while the values are
 // still in registers/L1, and only then spills the POST-activation moments
 // to the output matrix. The intermediate matrices never exist. The f32
 // path keeps no W∘W pack: the tile squares each streamed W slice in L1,

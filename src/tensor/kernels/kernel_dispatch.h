@@ -31,8 +31,9 @@
 // is bit-identical to the plain f64 GEMM against W and square(W), and its
 // f64 GEMM tile to that GEMM. The f64 activation tile replaces libm
 // erfc/exp with a branch-free rational/polynomial pair on every tier,
-// scalar included; it stays within ~2e-16 of libm per boundary
-// (docs/PERFORMANCE.md).
+// scalar included; it stays within ~2e-16 of libm per boundary, and a
+// boundary 9 or more sigmas away contributes its limit, which is inside
+// that (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstddef>
@@ -115,7 +116,16 @@ struct KernelOps {
                           float* vi, std::size_t n, float p, float p2);
 
   /// In-place PWL activation moments for up to kKernelMomentTile elements.
-  /// Lanes whose input variance is below det_threshold are left UNTOUCHED
+  /// Lane-major (kernel_body.inl's act_tile, shared with act_tile_f64):
+  /// each block of native vectors of lanes keeps its mean, sigma, 1/sigma,
+  /// the lower boundary's phi/Phi/z phi and its E[Y], E[Y^2] sums in
+  /// registers while it walks every boundary and piece, and every lane
+  /// runs the same expression sequence in every block width, so a lane's
+  /// bits do not depend on n or on its neighbours. Each boundary's z is
+  /// clamped to |z| <= 6.5; a lane at the clamp takes the phi/Phi values
+  /// there (computed once per call), and a vector whose lanes are all at
+  /// the clamp skips the exp and erf, so the rule changes no bit. Lanes
+  /// whose input variance is below det_threshold are left UNTOUCHED
   /// (still holding the input moments), marked det[i] = 1, and the call
   /// returns true — the caller fixes them up through the f64 scalar path
   /// (the closed form loses to linearization there at f32 epsilon). det
@@ -168,13 +178,18 @@ struct KernelOps {
                          std::size_t r0, std::size_t r1, std::size_t j0,
                          std::size_t j1, float* tmean, float* tvar);
 
-  /// f64 twin of act_tile_f32: the same piece-major boundary sharing and
-  /// near-deterministic contract (lanes with v < det_threshold are left
-  /// holding their input moments and flagged in det[] for the caller's
-  /// scalar activation_moments fixup; det is written only when the call
-  /// returns true). Each boundary's phi/Phi comes from one branch-free
-  /// polynomial exp(-z^2/2) and a Cody rational erfc, with |z| clamped to
-  /// 26 so no lane goes subnormal; no libm call. NaN inputs propagate.
+  /// f64 instance of act_tile_f32's template: the same lane-major walk,
+  /// position invariance and near-deterministic contract (lanes with
+  /// v < det_threshold are left holding their input moments and flagged in
+  /// det[] for the caller's scalar activation_moments fixup; det is written
+  /// only when the call returns true). Each boundary's phi/Phi comes from
+  /// one branch-free polynomial exp(-z^2/2) and a Cody rational erfc; no
+  /// libm call. Saturation rule, per lane: a boundary at |z| >= Z_sat = 9
+  /// contributes its limit phi = 0, Phi = 0 or 1 (z phi = 0), and a vector
+  /// whose lanes all qualify (or are near-deterministic) skips the exp and
+  /// the rationals. phi(9) ~ 1.0e-18 and 1 - Phi(9) ~ 1.1e-19 bound the
+  /// rule's error per boundary, inside the ~2e-16 of the pdf/cdf pair; the
+  /// clamp also keeps every lane out of subnormals. NaN inputs propagate.
   bool (*act_tile_f64)(const PwlView& f, double* m, double* v, std::size_t n,
                        double det_threshold, unsigned char* det);
 
