@@ -22,8 +22,9 @@
 // batch-1 f32 session call (gated at zero allocations by --max-allocs
 // apd_session_:0). conv_propagate_b1 and rnn_b1 time the conv/RNN
 // extensions' in-place forms (gated at 0 by --max-allocs conv_propagate_:0
-// and rnn_:0), and mcdrop50_predict_b1 the batched MCDrop-50 comparator
-// (gated at its returned predictive's 2 matrices).
+// and rnn_:0), and mcdrop50_predict_b1 (relu) and mcdrop50_predict_b1_tanh
+// the batched MCDrop-50 comparator (gated at its returned predictive's 2
+// matrices).
 // The JSON header records the resolved
 // kernel ISA tier ("isa") and ambient precision alongside the thread
 // count, so a comparison across reports taken on different machines or
@@ -264,6 +265,19 @@ void run_kernel_suite(std::size_t threads, const std::string& filter,
     const McDrop mc(mlp, 50, /*seed=*/19);
     record("mcdrop50_predict_b1", [&] {
       const PredictiveGaussian pred = mc.predict_regression(x1);
+      do_not_optimize(pred.mean.data());
+    });
+    // The same comparator on the same shapes with tanh hidden layers: equal
+    // GEMM flops, plus a tanh per hidden element in the stacked pass's
+    // epilogue. CI floors its time against the relu row's
+    // (bench_compare --speedup
+    // mcdrop50_predict_b1_tanh@t1:mcdrop50_predict_b1@t1), so a libm tanh
+    // back in the epilogue fails the gate.
+    Rng tanh_rng(6);
+    const Mlp tanh_mlp = paper_mlp(Activation::kTanh, tanh_rng);
+    const McDrop mc_tanh(tanh_mlp, 50, /*seed=*/19);
+    record("mcdrop50_predict_b1_tanh", [&] {
+      const PredictiveGaussian pred = mc_tanh.predict_regression(x1);
       do_not_optimize(pred.mean.data());
     });
   }

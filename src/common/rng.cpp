@@ -7,10 +7,6 @@
 namespace apds {
 
 namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64: used for seeding and for split().
 inline std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -23,23 +19,6 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -73,8 +52,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::lognormal(double mu_log, double sigma_log) {
   return std::exp(normal(mu_log, sigma_log));

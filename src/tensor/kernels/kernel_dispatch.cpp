@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -25,6 +26,46 @@ const KernelOps& scalar_ops();
 const KernelOps& avx2_ops();
 const KernelOps& avx512_ops();
 #endif
+
+namespace {
+/// row[j] = f(row[j] + bias[j]) over the panel.
+template <typename F>
+void bias_act_rows(double* y, const double* bias, std::size_t n,
+                   std::size_t i0, std::size_t i1, std::size_t j0,
+                   std::size_t j1, F f) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    double* row = y + i * n;
+    for (std::size_t j = j0; j < j1; ++j) row[j] = f(row[j] + bias[j]);
+  }
+}
+}  // namespace
+
+// The scalar tier's bias_act_f64 (kernels_scalar.cpp binds it): per element
+// the bias add of add_row_broadcast, then activate()'s expression (libm
+// tanh, and stats/special.cpp's two-sided sigmoid), so the scalar stacked
+// MCDrop pass is bit-identical to Mlp::forward_stochastic. Compiled here
+// with the default flags, outside the kernel bodies.
+void bias_act_f64_libm(double* y, const double* bias, std::size_t n,
+                       std::size_t i0, std::size_t i1, std::size_t j0,
+                       std::size_t j1, KernelAct act) {
+  switch (act) {
+    case KernelAct::kIdentity:
+      return bias_act_rows(y, bias, n, i0, i1, j0, j1,
+                           [](double x) { return x; });
+    case KernelAct::kRelu:
+      return bias_act_rows(y, bias, n, i0, i1, j0, j1,
+                           [](double x) { return x > 0.0 ? x : 0.0; });
+    case KernelAct::kTanh:
+      return bias_act_rows(y, bias, n, i0, i1, j0, j1,
+                           [](double x) { return std::tanh(x); });
+    case KernelAct::kSigmoid:
+      return bias_act_rows(y, bias, n, i0, i1, j0, j1, [](double x) {
+        if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+        const double e = std::exp(x);
+        return e / (1.0 + e);
+      });
+  }
+}
 }  // namespace kernels
 
 namespace {

@@ -20,10 +20,10 @@
 //
 // The f32 fast path, the i8 quantized path, the f64 moment pass (its
 // dropout-linear, conv1d and PWL activation tiles, kernel_body_f64.inl)
-// and the batched MCDrop pass (the f64 GEMM tile) route through this
-// table; the rest of the f64 path (nn, training, the per-sample
-// Mlp::forward_stochastic reference) keeps default flags in
-// tensor/gemm.cpp. Every dispatched kernel keeps the per-output-element
+// and the batched MCDrop pass (the f64 GEMM tile and its bias/activation
+// epilogue) route through this table; the rest of the f64 path (nn,
+// training, the per-sample Mlp::forward_stochastic reference) keeps
+// default flags in tensor/gemm.cpp and nn/activation.cpp. Every dispatched kernel keeps the per-output-element
 // accumulation order of the serial loops, so results are bit-identical
 // across thread counts *within* a backend (across backends they agree to
 // documented tolerances — FMA contraction and vector shuffles change
@@ -33,7 +33,11 @@
 // erfc/exp with a branch-free rational/polynomial pair on every tier,
 // scalar included; it stays within ~2e-16 of libm per boundary, and a
 // boundary 9 or more sigmas away contributes its limit, which is inside
-// that (docs/PERFORMANCE.md).
+// that (docs/PERFORMANCE.md). The MCDrop epilogue is the one slot whose
+// scalar entry is not built from the shared bodies: it keeps activate()'s
+// libm tanh/sigmoid, so the scalar stacked pass stays bit-identical to
+// Mlp::forward_stochastic, while avx2/avx512 evaluate them libm-free
+// within 1e-15 (bias_act_f64 below).
 #pragma once
 
 #include <cstddef>
@@ -102,6 +106,10 @@ struct PwlView {
   const double* c = nullptr;   ///< [pieces] intercepts
   std::size_t pieces = 0;
 };
+
+/// The nonlinearities of the batched MCDrop epilogue, in the order of
+/// nn's Activation (the kernel layer knows no nn types).
+enum class KernelAct : unsigned char { kIdentity, kRelu, kTanh, kSigmoid };
 
 /// The function-pointer table one ISA tier exports. All kernels take raw
 /// row-major buffers; shape checks and thread partitioning stay in the
@@ -240,6 +248,26 @@ struct KernelOps {
   void (*gemm_tile_f64)(const double* a, const double* b, double* c,
                         std::size_t k, std::size_t n, std::size_t i0,
                         std::size_t i1, std::size_t j0, std::size_t j1);
+
+  /// The batched MCDrop pass's epilogue over the panel gemm_tile_f64 just
+  /// wrote: for i in [i0, i1), j in [j0, j1) of the m x n row-major y,
+  ///   y[i n + j] = act(y[i n + j] + bias[j]).
+  /// Identity and relu (x > 0 ? x : 0, so NaN gives 0) are exact on every
+  /// tier. The scalar tier's tanh and sigmoid are activate()'s libm
+  /// expressions, so it is bit-identical to Mlp::forward_stochastic's
+  /// add_row_broadcast + apply_activation. avx2/avx512 evaluate them
+  /// branch-free without libm (kernel_body_f64.inl): tanh from an odd
+  /// rational below |x| = 0.625 and (1 - e)/(1 + e), e = exp(-2|x|), above
+  /// it; sigmoid as 1/(1 + e) or e/(1 + e), e = exp(-|x|). Both stay
+  /// within 1e-15 of glibc (max error 3.3e-16 absolute and 5.9e-16
+  /// relative for tanh, 2.2e-16 and 4.9e-16 for sigmoid, over a 4M-point
+  /// grid; docs/PERFORMANCE.md), propagate NaN, map +-Inf to +-1
+  /// (tanh) or to 1 and 0 (sigmoid; it gives 0 below x = -708, where libm
+  /// gives a subnormal), keep tanh's +-0, and give each lane the same
+  /// bits wherever it sits in the panel. No heap allocation.
+  void (*bias_act_f64)(double* y, const double* bias, std::size_t n,
+                       std::size_t i0, std::size_t i1, std::size_t j0,
+                       std::size_t j1, KernelAct act);
 };
 
 /// The table bound to the globally resolved backend.

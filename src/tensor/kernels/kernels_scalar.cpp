@@ -22,8 +22,23 @@ namespace scalar_impl {
 #include "tensor/kernels/kernel_body_f64.inl"
 }  // namespace scalar_impl
 
+// The scalar tier's MCDrop epilogue: activate()'s libm expressions, defined
+// in kernel_dispatch.cpp (libm calls break the kernel bodies' linkage rule
+// and this TU's f32 purity).
+void bias_act_f64_libm(double* y, const double* bias, std::size_t n,
+                       std::size_t i0, std::size_t i1, std::size_t j0,
+                       std::size_t j1, KernelAct act);
+
+namespace {
+KernelOps scalar_table() {
+  KernelOps ops = scalar_impl::make_ops("scalar");
+  ops.bias_act_f64 = &bias_act_f64_libm;
+  return ops;
+}
+}  // namespace
+
 const KernelOps& scalar_ops() {
-  static const KernelOps ops = scalar_impl::make_ops("scalar");
+  static const KernelOps ops = scalar_table();
   return ops;
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
+#include "common/error.h"
 #include "core/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,11 +66,24 @@ StackBuffers stack_buffers(const StackPlan& plan, std::size_t outputs) {
           reinterpret_cast<double*>(scratch + 2 * plan.block)};
 }
 
+KernelAct kernel_act(Activation act) {
+  switch (act) {
+    case Activation::kIdentity: return KernelAct::kIdentity;
+    case Activation::kRelu: return KernelAct::kRelu;
+    case Activation::kTanh: return KernelAct::kTanh;
+    case Activation::kSigmoid: return KernelAct::kSigmoid;
+  }
+  throw InvalidArgument("unknown activation");
+}
+
 /// g samples of MCDrop through one stacked pass. Sample s owns rows
 /// [s batch, (s + 1) batch) of every layer's block and draws its masks
 /// from streams[s] in Mlp::forward_stochastic's row-major order, so its
 /// rows are that pass's output for the same stream (bit-identical on the
-/// scalar kernel tier). While no mask has been drawn the samples are
+/// scalar kernel tier; the wide tiers' FMA GEMM and libm-free tanh/sigmoid
+/// epilogue stay within 1e-12). A mask element is the integer form of
+/// bernoulli(keep), the same draw and outcome, times the element, so NaN,
+/// Inf and -0 inputs behave as in hadamard_inplace. While no mask has been drawn the samples are
 /// identical and the block holds one copy. block0/block1 each hold g
 /// batch rows of the widest layer; the last layer writes the group's
 /// network outputs to `out` ([g batch, out_dim], sample-major).
@@ -94,13 +109,13 @@ void mcdrop_forward_group(const Mlp& mlp, const Matrix& x, Rng* streams,
           std::memcpy(h + s * sample_in, h, sample_in * sizeof(double));
         shared = false;
       }
-      const double keep = layer.keep_prob;
+      const std::uint64_t keep = Rng::bernoulli_threshold(layer.keep_prob);
       parallel_for(0, g, 1, [&](std::size_t s0, std::size_t s1) {
         for (std::size_t s = s0; s < s1; ++s) {
           double* hs = h + s * sample_in;
           Rng& rng = streams[s];
           for (std::size_t i = 0; i < sample_in; ++i)
-            hs[i] *= rng.bernoulli(keep) ? 1.0 : 0.0;
+            hs[i] *= rng.bernoulli_below(keep) ? 1.0 : 0.0;
         }
       });
     }
@@ -108,7 +123,7 @@ void mcdrop_forward_group(const Mlp& mlp, const Matrix& x, Rng* streams,
     double* y = l + 1 == layers ? out : spare;
     const double* w = layer.weight.data();
     const double* bias = layer.bias.data();
-    const Activation act = layer.act;
+    const KernelAct act = kernel_act(layer.act);
     const std::size_t panels = (n + kPanelCols - 1) / kPanelCols;
     const std::size_t row_chunks =
         (rows + kStackRowBudget - 1) / kStackRowBudget;
@@ -123,12 +138,7 @@ void mcdrop_forward_group(const Mlp& mlp, const Matrix& x, Rng* streams,
                      const std::size_t j0 = (u % panels) * kPanelCols;
                      const std::size_t j1 = std::min(n, j0 + kPanelCols);
                      ops.gemm_tile_f64(h, w, y, in, n, i0, i1, j0, j1);
-                     for (std::size_t i = i0; i < i1; ++i) {
-                       double* yrow = y + i * n;
-                       for (std::size_t j = j0; j < j1; ++j)
-                         yrow[j] += bias[j];
-                       apply_activation_inplace(act, yrow + j0, j1 - j0);
-                     }
+                     ops.bias_act_f64(y, bias, n, i0, i1, j0, j1, act);
                    }
                  });
     spare = h;

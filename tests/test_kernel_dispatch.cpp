@@ -27,6 +27,7 @@
 #include "core/moment_fused.h"
 #include "core/moment_linear.h"
 #include "moment_reference.h"
+#include "nn/activation.h"
 #include "nn/mlp.h"
 #include "platform/thread_pool.h"
 #include "tensor/gemm.h"
@@ -161,6 +162,7 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(ops.moment_tile_f64, nullptr);
     EXPECT_NE(ops.moment_conv_tile_f64, nullptr);
     EXPECT_NE(ops.gemm_tile_f64, nullptr);
+    EXPECT_NE(ops.bias_act_f64, nullptr);
   }
 }
 
@@ -818,6 +820,185 @@ TEST(KernelAgreement, GemmTileF64MatchesReferenceGemm) {
                 ops.gemm_tile_f64(a.data(), b.data(), split.data(), k, n, i0,
                                   i1, j0, j1);
           EXPECT_TRUE(bytes_equal(whole, split)) << kernel_backend_name(back);
+        }
+      }
+    }
+  }
+}
+
+// ---- the batched MCDrop epilogue --------------------------------------------
+
+const std::pair<KernelAct, Activation> kEpilogueActs[] = {
+    {KernelAct::kIdentity, Activation::kIdentity},
+    {KernelAct::kRelu, Activation::kRelu},
+    {KernelAct::kTanh, Activation::kTanh},
+    {KernelAct::kSigmoid, Activation::kSigmoid}};
+
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// (x, bias) lanes for bias_act_f64: NaN, +-Inf, +-0, subnormals and
+/// DBL_MIN, tanh's rational/exp switch at |x| = 0.625 and its neighbours,
+/// |x| >= 20 (tanh rounds to +-1 there), sigmoid's cut at -708 and the
+/// subnormal range of libm's sigmoid beyond it, ordinary values, and
+/// bias-carrying lanes whose sum lands on the same points.
+std::vector<std::pair<double, double>> epilogue_lanes() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double tiny = std::numeric_limits<double>::min();
+  return {{nan, 0.0},
+          {inf, 0.0},
+          {-inf, 0.0},
+          {0.0, 0.0},
+          {-0.0, 0.0},
+          {-0.0, -0.0},
+          {sub, 0.0},
+          {-sub, 0.0},
+          {-3e-310, 0.0},
+          {tiny, 0.0},
+          {1e-9, 0.0},
+          {0.625, 0.0},
+          {std::nextafter(0.625, 0.0), 0.0},
+          {std::nextafter(0.625, 1.0), 0.0},
+          {-0.625, 0.0},
+          {-std::nextafter(0.625, 0.0), 0.0},
+          {0.3, 0.0},
+          {-0.7, 0.0},
+          {1.0, 0.0},
+          {-2.5, 0.0},
+          {5.0, 0.0},
+          {19.0, 0.0},
+          {-20.0, 0.0},
+          {20.5, 0.0},
+          {-37.0, 0.0},
+          {40.0, 0.0},
+          {708.0, 0.0},
+          {-708.0, 0.0},
+          {-708.5, 0.0},
+          {-740.0, 0.0},
+          {-1e300, 0.0},
+          {1e300, 0.0},
+          {0.5, 0.125},
+          {1.25, -1.0},
+          {-3.0, 2.375},
+          {0.0, nan},
+          {1.0, -inf}};
+}
+
+// The epilogue's contract at every tier: the scalar tier is bytes-equal to
+// activate(x + b) (libm), every tier is bytes-equal to it for identity and
+// relu and within 1e-15 scaled by max(1, |ref|) for tanh and sigmoid, NaN
+// propagates (relu maps it to 0, as activate does), +-Inf go to +-1
+// (tanh) or 1 and 0 (sigmoid), tanh keeps +-0 and returns a subnormal
+// unchanged, and |x| >= 20 gives tanh +-1 exactly. Rows [1, 3) of a
+// 4-row panel starting at column 2 are written; the rest stays untouched.
+TEST(KernelAgreement, BiasActF64FollowsContractAtEveryTier) {
+  const auto lanes = epilogue_lanes();
+  const std::size_t cols = lanes.size();
+  const std::size_t n = cols + 3;
+  for (const KernelBackend back : supported_backends()) {
+    const KernelOps& ops = kernel_ops(back);
+    for (const auto& [kact, act] : kEpilogueActs) {
+      SCOPED_TRACE(::testing::Message() << kernel_backend_name(back) << " "
+                                        << activation_name(act));
+      std::vector<double> y(4 * n, 7.0), bias(n, 0.0);
+      for (std::size_t j = 0; j < cols; ++j) {
+        bias[2 + j] = lanes[j].second;
+        for (std::size_t i = 1; i < 3; ++i) y[i * n + 2 + j] = lanes[j].first;
+      }
+      ops.bias_act_f64(y.data(), bias.data(), n, 1, 3, 2, 2 + cols, kact);
+      for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t c = 0; c < n; ++c) {
+          const bool inside = i >= 1 && i < 3 && c >= 2 && c < 2 + cols;
+          if (!inside) {
+            EXPECT_EQ(y[i * n + c], 7.0) << "row " << i << " col " << c;
+            continue;
+          }
+          const auto [x, b] = lanes[c - 2];
+          const double got = y[i * n + c];
+          const double ref = activate(act, x + b);
+          SCOPED_TRACE(::testing::Message() << "x=" << x << " b=" << b);
+          if (back == KernelBackend::kScalar || kact == KernelAct::kIdentity ||
+              kact == KernelAct::kRelu) {
+            EXPECT_TRUE(same_bits(got, ref)) << got << " vs " << ref;
+          } else if (std::isnan(ref)) {
+            EXPECT_TRUE(std::isnan(got)) << got;
+          } else {
+            EXPECT_LE(std::fabs(got - ref),
+                      1e-15 * std::max(1.0, std::fabs(ref)))
+                << got << " vs " << ref;
+          }
+          const double s = x + b;
+          if (kact == KernelAct::kTanh) {
+            if (std::fabs(s) >= 20.0 || std::isinf(s)) {
+              EXPECT_EQ(got, s > 0 ? 1.0 : -1.0);
+            }
+            if (std::fabs(s) < std::numeric_limits<double>::min()) {
+              EXPECT_TRUE(same_bits(got, s)) << got;
+            }
+          }
+          if (kact == KernelAct::kSigmoid) {
+            if (std::isinf(s)) {
+              EXPECT_EQ(got, s > 0 ? 1.0 : 0.0);
+            }
+            if (s == 0.0) {
+              EXPECT_EQ(got, 0.5);
+            }
+          }
+        }
+    }
+  }
+}
+
+// A lane's epilogue bits do not depend on the panel around it: each (x, b)
+// lane alone (a one-column panel) equals the same lane inside panels of
+// n = 1, L - 1, L + 1, 2L + 3 and 128 columns (L = lanes per native vector
+// of the tier) over two rows, built from the mixed lanes above and placed
+// at an odd column offset.
+TEST(KernelAgreement, BiasActF64LaneIsPositionInvariant) {
+  const auto lanes = epilogue_lanes();
+  for (const KernelBackend back : supported_backends()) {
+    const std::size_t per_vec = (back == KernelBackend::kAvx512 ? 64
+                                 : back == KernelBackend::kAvx2 ? 32
+                                                                : 16) /
+                                sizeof(double);
+    const KernelOps& ops = kernel_ops(back);
+    for (const auto& [kact, act] : kEpilogueActs) {
+      std::vector<double> alone;
+      for (const auto& [x, b] : lanes) {
+        double y = x;
+        ops.bias_act_f64(&y, &b, 1, 0, 1, 0, 1, kact);
+        alone.push_back(y);
+      }
+      for (const std::size_t cols :
+           {std::size_t{1}, per_vec - 1, per_vec + 1, 2 * per_vec + 3,
+            std::size_t{128}}) {
+        const std::size_t n = cols + 3;
+        for (std::size_t shift = 0; shift < lanes.size(); shift += 5) {
+          std::vector<double> y(2 * n, 0.0), bias(n, 0.0);
+          std::vector<std::size_t> kind(2 * n);
+          for (std::size_t i = 0; i < 2; ++i)
+            for (std::size_t j = 0; j < cols; ++j) {
+              // Both rows share the bias, so lane j's kind fixes the bias
+              // and row 1 repeats row 0's kind.
+              const std::size_t k = (j * 7 + shift) % lanes.size();
+              kind[i * n + 3 + j] = k;
+              y[i * n + 3 + j] = lanes[k].first;
+              bias[3 + j] = lanes[k].second;
+            }
+          ops.bias_act_f64(y.data(), bias.data(), n, 0, 2, 3, 3 + cols, kact);
+          for (std::size_t i = 0; i < 2; ++i)
+            for (std::size_t j = 0; j < cols; ++j) {
+              const std::size_t k = kind[i * n + 3 + j];
+              EXPECT_TRUE(same_bits(y[i * n + 3 + j], alone[k]))
+                  << kernel_backend_name(back) << " " << activation_name(act)
+                  << " cols=" << cols << " row " << i << " col " << j
+                  << " x=" << lanes[k].first << " b=" << lanes[k].second
+                  << ": " << y[i * n + 3 + j] << " vs " << alone[k];
+            }
         }
       }
     }

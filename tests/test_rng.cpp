@@ -5,6 +5,8 @@
 #include "common/error.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -155,6 +157,37 @@ TEST(Rng, ShuffleActuallyMoves) {
   for (std::size_t i = 0; i < idx.size(); ++i)
     if (idx[i] != i) ++moved;
   EXPECT_GT(moved, 50u);
+}
+
+// bernoulli_below(bernoulli_threshold(p)) is the integer form of
+// bernoulli(p): the same outcome for every draw and the same state after
+// it. The threshold t is the boundary itself: m = t - 1 is the largest
+// 53-bit draw with m 2^-53 < p. p = 1 (every draw), a tiny p (only m = 0),
+// p = 0.75 (p 2^53 an integer, so m = t lands exactly on p and fails),
+// and ordinary and out-of-range values.
+TEST(Rng, BernoulliThresholdMatchesUniformDraw) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {1.0, 1e-300, 0x1.0p-60, 0.75, 0.3, 0.9,
+                         0.5 + 0x1.0p-53, 0.0, -0.5, 2.0, nan}) {
+    SCOPED_TRACE(p);
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    ASSERT_LE(t, std::uint64_t{1} << 53);
+    if (t > 0) {
+      EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p);
+    }
+    if (t < (std::uint64_t{1} << 53)) {
+      EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p);
+    }
+    Rng a(17), b(17);
+    for (int i = 0; i < 20000; ++i)
+      ASSERT_EQ(a.bernoulli_below(t), b.bernoulli(p)) << "draw " << i;
+    EXPECT_EQ(a.next(), b.next());
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::bernoulli_threshold(1e-300), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.75), std::uint64_t{3} << 51);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(nan), 0u);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
