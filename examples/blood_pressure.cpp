@@ -3,7 +3,7 @@
 // report systolic/diastolic estimates with confidence intervals. A clinical
 // consumer of this output needs the interval at least as much as the value.
 // Takes only the shared flags (obs/run_options.h); `--obs-dir <dir>` writes
-// the run's calibration monitor and flight records there.
+// the run's trace and flight records there.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -14,7 +14,6 @@
 #include "nn/loss.h"
 #include "nn/trainer.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/run_options.h"
 #include "uncertainty/apd_estimator.h"
 
@@ -58,12 +57,6 @@ int main(int argc, char** argv) {
   }();
   pred.mean = ys.inverse_transform(pred.mean);
   pred.var = ys.inverse_transform_variance(pred.var);
-
-  // The clinical consumer trusts the interval, so its calibration is a
-  // serving-health signal: stream the labelled waveform predictions into
-  // the calibration monitor (health.json under --obs-dir).
-  obs::HealthMonitor::instance().calibration().observe_batch(
-      pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 
   std::cout << "Cuff-less BP estimates from PPG (2 s windows, 250 samples):\n";
   std::cout << "window   SBP est (true)        DBP est (true)\n";

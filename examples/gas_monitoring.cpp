@@ -4,7 +4,7 @@
 // confidence bound of the CO estimate crosses a threshold, and flags
 // low-confidence readings for re-measurement instead of silently guessing.
 // Takes only the shared flags (obs/run_options.h); `--obs-dir <dir>` writes
-// the run's calibration monitor and flight records there.
+// the run's trace and flight records there.
 #include <cmath>
 #include <iostream>
 #include <utility>
@@ -14,7 +14,6 @@
 #include "nn/loss.h"
 #include "nn/trainer.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/run_options.h"
 #include "uncertainty/apd_estimator.h"
 
@@ -66,12 +65,6 @@ int main(int argc, char** argv) {
   }();
   pred.mean = ys.inverse_transform(pred.mean);
   pred.var = ys.inverse_transform_variance(pred.var);
-
-  // Safety decisions downstream of the interval make its calibration a
-  // serving-health concern: stream every labelled reading into the
-  // calibration monitor (health.json under --obs-dir).
-  obs::HealthMonitor::instance().calibration().observe_batch(
-      pred.mean.flat(), pred.var.flat(), split.test.y.flat());
 
   for (std::size_t i = 0; i < split.test.size(); ++i) {
     const double co_mean = pred.mean(i, 1);

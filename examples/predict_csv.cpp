@@ -6,14 +6,13 @@
 //   predict_csv <model.apds> <inputs.csv> <outputs.csv> [--classify]
 //               [--labels labels.csv] [--obs-dir dir] [--log-level lvl]
 //
-// `--labels <csv>` streams ground-truth targets (regression only) into the
-// process-wide calibration monitor, so the run reports windowed empirical
-// coverage and Gaussian NLL — and `--obs-dir` exports the snapshot
-// (health.json).
+// `--labels <csv>` scores the predictions against ground-truth targets
+// (regression only): the run reports the Gaussian NLL and the empirical
+// coverage of the 50/90/95% central intervals (metrics/).
 //
 // Run with no arguments for a self-contained demo: it trains a small model
 // on the synthetic gas-sensing task, saves it, exports sample inputs and
-// labels, and then runs itself end-to-end with calibration monitoring.
+// labels, and then runs itself end-to-end with calibration scoring.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -23,11 +22,12 @@
 #include "data/csv.h"
 #include "data/gassen.h"
 #include "data/scaler.h"
+#include "metrics/calibration.h"
+#include "metrics/regression_metrics.h"
 #include "nn/loss.h"
 #include "nn/model_io.h"
 #include "nn/trainer.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/run_options.h"
 #include "uncertainty/apd_estimator.h"
 
@@ -46,11 +46,10 @@ int predict(const std::string& model_path, const std::string& in_csv,
     return 1;
   }
   const ApdEstimator apd(mlp);
-  obs::HealthMonitor& health = obs::HealthMonitor::instance();
 
   if (classify) {
     if (!labels_csv.empty()) {
-      std::cerr << "--labels calibration monitoring supports regression "
+      std::cerr << "--labels calibration scoring supports regression "
                    "models only\n";
       return 1;
     }
@@ -114,12 +113,11 @@ int predict(const std::string& model_path, const std::string& in_csv,
                 << pred.mean.cols() << "\n";
       return 1;
     }
-    health.calibration().observe_batch(pred.mean.flat(), pred.var.flat(),
-                                       labels.flat());
+    constexpr double kLevels[] = {0.5, 0.9, 0.95};
     std::cout << "calibration over " << labels.size()
-              << " labelled outputs: windowed NLL "
-              << health.calibration().nll() << ", coverage";
-    for (const auto& c : health.calibration().coverage())
+              << " labelled outputs: NLL "
+              << evaluate_regression(pred, labels).nll << ", coverage";
+    for (const auto& c : calibration_curve(pred, labels, kLevels))
       std::cout << " " << c.nominal << "->" << c.empirical;
     std::cout << "\n";
   }

@@ -7,12 +7,11 @@
 //
 // Pass `--obs-dir obs` to write the run's observability artifacts into
 // obs/: a Chrome-trace of the whole run (training epochs, per-layer
-// inference spans, request-scoped span trees), the streaming health
-// snapshot (windowed calibration coverage/NLL, input drift, alerts), the
-// counters and the request-latency histogram with its exemplars, the
-// flight recorder's per-request ring and the sampling profile. Read them
-// with `tools/apds_report obs` — see docs/OBSERVABILITY.md. The example
-// takes no other arguments.
+// inference spans, request-scoped span trees), the counters and the
+// request-latency histogram with its exemplars, the flight recorder's
+// per-request ring and the sampling profile. Read them with
+// `tools/apds_report obs` — see docs/OBSERVABILITY.md. The example takes no
+// other arguments.
 #include <cmath>
 #include <iostream>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "nn/loss.h"
 #include "nn/trainer.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/run_options.h"
 #include "platform/cost_model.h"
@@ -73,50 +71,26 @@ int main(int argc, char** argv) {
                 pred.mean(0, 0), 2.0 * sd, std::sin(3.0 * q));
   }
 
-  // 5. Online health monitoring: stream a held-out set through the model
-  //    the way a deployment would, feeding the process-wide HealthMonitor —
-  //    input drift against the training distribution and (labels being
-  //    available here) windowed calibration coverage/NLL, exported to
-  //    health.json under --obs-dir; request latencies land in the
+  // 5. Serve a held-out stream one request at a time, the way a
+  //    deployment would; request latencies land in the
   //    `request.latency_ms` histogram (metrics.json).
   {
-    obs::HealthMonitor& health = obs::HealthMonitor::instance();
-    const std::size_t n_train = x.rows();
-    double mean_x = 0.0;
-    double var_x = 0.0;
-    for (std::size_t i = 0; i < n_train; ++i) mean_x += x(i, 0);
-    mean_x /= static_cast<double>(n_train);
-    for (std::size_t i = 0; i < n_train; ++i) {
-      const double d = x(i, 0) - mean_x;
-      var_x += d * d;
-    }
-    var_x /= static_cast<double>(n_train);
-    health.drift().set_reference({&mean_x, 1}, {&var_x, 1});
-
     for (std::size_t i = 0; i < 200; ++i) {
       Matrix input(1, 1);
       input(0, 0) = rng.uniform(-1.0, 1.0);
-      const double truth =
-          std::sin(3.0 * input(0, 0)) + rng.normal(0.0, 0.1);
       // One RequestScope per inference: gives the request an id that spans,
       // latency exemplars and the flight-recorder record all attribute to.
       obs::RequestScope request;
       request.set_input_stats(input.flat());
-      health.drift().observe(input.row(0));
       const PredictiveGaussian p = apd.predict_regression(input);
       request.set_prediction(p.mean(0, 0), p.var(0, 0));
-      health.calibration().observe(p.mean(0, 0), p.var(0, 0), truth);
     }
-    const auto cov = health.calibration().coverage();
     // p50 is reconstructed from the histogram's 32 log-spaced buckets
     // (1 us-100 ms, ~1.43x wide each); the exact streamed mean sits next
     // to it.
     const LatencyHistogram& latency =
         MetricsRegistry::instance().histogram("request.latency_ms");
-    std::cout << "\nStreaming health over 200 held-out inferences:"
-              << "\n  windowed NLL " << health.calibration().nll()
-              << ", coverage@0.9 "
-              << (cov.size() > 1 ? cov[1].empirical : 0.0)
+    std::cout << "\nServed 200 held-out inferences:"
               << "\n  latency p50 " << latency.p50_ms() << " ms (mean "
               << latency.stats().mean() << " ms), modelled energy/inference "
               << EdisonModel{}.energy_mj(flops_apdeepsense(mlp, 7))

@@ -9,7 +9,6 @@
 #include "metrics/classification_metrics.h"
 #include "metrics/regression_metrics.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "platform/profiler.h"
 #include "uncertainty/apd_estimator.h"
 #include "uncertainty/mcdrop.h"
@@ -34,45 +33,12 @@ PredictiveGaussian unscale(const PredictiveGaussian& pred,
 
 constexpr Activation kActs[] = {Activation::kRelu, Activation::kTanh};
 
-/// Freeze the training-set feature statistics as the drift reference and
-/// stream the evaluation inputs through the monitor, so every bench run
-/// also exercises (and populates) the serving-side drift check.
-void feed_drift_monitor(const TaskData& td) {
-  obs::DriftMonitor& drift = obs::HealthMonitor::instance().drift();
-  const std::size_t dim = td.x_train.cols();
-  if (dim == 0 || td.x_train.rows() == 0) return;
-  std::vector<double> mean(dim, 0.0);
-  std::vector<double> var(dim, 0.0);
-  const double n = static_cast<double>(td.x_train.rows());
-  for (std::size_t r = 0; r < td.x_train.rows(); ++r)
-    for (std::size_t c = 0; c < dim; ++c) mean[c] += td.x_train(r, c);
-  for (double& m : mean) m /= n;
-  for (std::size_t r = 0; r < td.x_train.rows(); ++r)
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = td.x_train(r, c) - mean[c];
-      var[c] += d * d;
-    }
-  for (double& v : var) v = std::max(v / n, 1e-12);
-  drift.set_reference(mean, var);
-  for (std::size_t r = 0; r < td.x_test.rows(); ++r)
-    drift.observe(td.x_test.row(r));
-}
-
-/// Stream the labelled ApDeepSense predictive (natural units) into the
-/// calibration monitor — the serving path whose health we track.
-void feed_calibration_monitor(const PredictiveGaussian& pred,
-                              const Matrix& target) {
-  obs::HealthMonitor::instance().calibration().observe_batch(
-      pred.mean.flat(), pred.var.flat(), target.flat());
-}
-
 }  // namespace
 
 std::vector<ModelPerfRow> run_model_perf(ModelZoo& zoo, TaskId task,
                                          const ExperimentOptions& opt) {
   const TaskData& td = zoo.data(task);
   std::vector<ModelPerfRow> rows;
-  feed_drift_monitor(td);
 
   const std::size_t k_max =
       *std::max_element(opt.mcdrop_ks.begin(), opt.mcdrop_ks.end());
@@ -95,8 +61,6 @@ std::vector<ModelPerfRow> run_model_perf(ModelZoo& zoo, TaskId task,
         const PredictiveGaussian pred = unscale(scaled_pred, td.y_scaler);
         const RegressionMetrics m =
             evaluate_regression(pred, td.y_test_natural);
-        if (name == "ApDeepSense")
-          feed_calibration_monitor(pred, td.y_test_natural);
         rows.push_back({prefix + name, m.mae, m.nll});
       };
 

@@ -49,7 +49,6 @@ void FlightRecorder::record(const RequestRecord& record) {
   slot.input_absmax.store(record.input_absmax, std::memory_order_relaxed);
   slot.pred_mean.store(record.pred_mean, std::memory_order_relaxed);
   slot.pred_var.store(record.pred_var, std::memory_order_relaxed);
-  slot.alerts.store(record.alerts, std::memory_order_relaxed);
   slot.allocs.store(record.allocs, std::memory_order_relaxed);
   slot.alloc_bytes.store(record.alloc_bytes, std::memory_order_relaxed);
   slot.session.store(record.session, std::memory_order_relaxed);
@@ -79,7 +78,6 @@ bool FlightRecorder::read_slot(const Slot& slot, RequestRecord* out) const {
   r.input_absmax = slot.input_absmax.load(std::memory_order_relaxed);
   r.pred_mean = slot.pred_mean.load(std::memory_order_relaxed);
   r.pred_var = slot.pred_var.load(std::memory_order_relaxed);
-  r.alerts = slot.alerts.load(std::memory_order_relaxed);
   r.allocs = slot.allocs.load(std::memory_order_relaxed);
   r.alloc_bytes = slot.alloc_bytes.load(std::memory_order_relaxed);
   r.session = slot.session.load(std::memory_order_relaxed);
@@ -106,7 +104,7 @@ std::vector<RequestRecord> FlightRecorder::snapshot() const {
 void FlightRecorder::write_json(std::ostream& os) const {
   const auto records = snapshot();
   os << "{\"capacity\":" << capacity_ << ",\"completed\":" << completed()
-     << ",\"alerts_raised\":" << alerts_raised() << ",\"requests\":[";
+     << ",\"requests\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RequestRecord& r = records[i];
     if (i) os << ",";
@@ -124,8 +122,7 @@ void FlightRecorder::write_json(std::ostream& os) const {
        << ",\"input_mean\":" << r.input_mean
        << ",\"input_absmax\":" << r.input_absmax
        << ",\"pred_mean\":" << r.pred_mean << ",\"pred_var\":" << r.pred_var
-       << ",\"alerts\":" << r.alerts << ",\"allocs\":" << r.allocs
-       << ",\"alloc_bytes\":" << r.alloc_bytes
+       << ",\"allocs\":" << r.allocs << ",\"alloc_bytes\":" << r.alloc_bytes
        << ",\"session\":" << r.session << "}";
   }
   os << "\n]}\n";
@@ -150,17 +147,6 @@ std::string FlightRecorder::dump() const {
       dir.empty() ? "apds_flight.json" : dir + "/flight.json";
   write_json_file(path);
   return path;
-}
-
-void FlightRecorder::on_alert() {
-  alerts_.fetch_add(1, std::memory_order_relaxed);
-  const std::string dir = dump_dir();
-  if (dir.empty()) return;
-  try {
-    write_json_file(dir + "/flight.alert.json");
-  } catch (const std::exception& e) {
-    APDS_WARN("flight recorder alert dump failed: " << e.what());
-  }
 }
 
 void FlightRecorder::set_dump_dir(const std::string& dir) {
@@ -189,7 +175,6 @@ void FlightRecorder::clear() {
     slots_[i].request_id.store(0, std::memory_order_relaxed);
   }
   head_.store(0, std::memory_order_relaxed);
-  alerts_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +200,6 @@ RequestScope::ContextBegin::~ContextBegin() {
 RequestScope::RequestScope() : begin_(), span_("request", "request") {
   record_.request_id = current_request_context().request_id;
   record_.start_us = TraceCollector::instance().now_us();
-  alerts_before_ = FlightRecorder::instance().alerts_raised();
   const AllocCounters allocs = thread_alloc_counters();
   allocs_before_ = allocs.allocs;
   alloc_bytes_before_ = allocs.bytes;
@@ -227,8 +211,6 @@ RequestScope::~RequestScope() {
   tl_current_scope = prev_;
   record_.dur_ms =
       (TraceCollector::instance().now_us() - record_.start_us) * 1e-3;
-  const std::uint64_t alerts_now = FlightRecorder::instance().alerts_raised();
-  record_.alerts = static_cast<std::uint32_t>(alerts_now - alerts_before_);
   // Heap activity of the request's own thread (pool workers allocate on
   // their own TLS blocks — the per-request count is the submitting
   // thread's share, matching the layer-timing attribution above).

@@ -1,16 +1,15 @@
 // Flight recorder: a fixed-size lock-free ring of the last N completed
 // request records — id, start/duration, per-layer timings, input stats,
-// predicted mean/variance, alerts raised during the request — giving a
-// post-hoc view of the requests surrounding an incident without keeping a
-// full trace on all the time.
+// predicted mean/variance, heap allocations — giving a post-hoc view of the
+// requests surrounding an incident without keeping a full trace on all the
+// time.
 //
 // Cost model: the ring is always on; completing a request claims one slot
 // (one fetch_add) and publishes it through a per-slot seqlock whose fields
 // are all relaxed atomics, so recording never blocks and readers
 // (snapshot/dump) never block writers. Dumps are written as JSON on
-// session exit (`<obs-dir>/flight.json`), on any raised health Alert
-// (`<obs-dir>/flight.alert.json`), and on SIGUSR1 (at the next completed
-// request).
+// session exit (`<obs-dir>/flight.json`) and on SIGUSR1 (at the next
+// completed request).
 //
 // RequestScope is the producer: an RAII frame around one inference request
 // that allocates the request id, installs the trace context (so per-layer
@@ -51,7 +50,6 @@ struct RequestRecord {
   double input_absmax = 0.0;
   double pred_mean = 0.0;
   double pred_var = 0.0;
-  std::uint32_t alerts = 0;  ///< alerts raised while this request ran
   /// Heap activity on the request's thread while the scope was open
   /// (operator-new calls / bytes requested; see obs/alloc_stats.h). The
   /// zero-alloc steady-state work drives these to 0.
@@ -88,7 +86,7 @@ class FlightRecorder {
   /// Consistent copies of the currently-published records, newest first.
   std::vector<RequestRecord> snapshot() const;
 
-  /// {"capacity":...,"completed":...,"alerts_raised":...,"requests":[...]}
+  /// {"capacity":...,"completed":...,"requests":[...]}
   /// with requests newest first.
   void write_json(std::ostream& os) const;
   std::string to_json() const;
@@ -99,17 +97,8 @@ class FlightRecorder {
   /// path written. Throws IoError on failure.
   std::string dump() const;
 
-  /// Count an alert against the requests in flight and, when a dump
-  /// directory is set, dump the ring to `<dir>/flight.alert.json` — the
-  /// post-hoc view of the requests surrounding the incident. Called by
-  /// AlertSink::raise.
-  void on_alert();
-  std::uint64_t alerts_raised() const {
-    return alerts_.load(std::memory_order_relaxed);
-  }
-
-  /// Directory dumps go to (`--obs-dir` wires this); empty disables
-  /// alert dumps and sends dump() to the working directory.
+  /// Directory dumps go to (`--obs-dir` wires this); empty sends dump()
+  /// to the working directory.
   void set_dump_dir(const std::string& dir);
   std::string dump_dir() const;
 
@@ -119,7 +108,7 @@ class FlightRecorder {
   /// What the handler does — async-signal-safe, also callable from tests.
   static void request_dump();
 
-  /// Drop all records and zero the counters (for tests).
+  /// Drop all records and zero completed() (for tests).
   void clear();
 
  private:
@@ -139,7 +128,6 @@ class FlightRecorder {
     std::atomic<double> input_absmax{0.0};
     std::atomic<double> pred_mean{0.0};
     std::atomic<double> pred_var{0.0};
-    std::atomic<std::uint32_t> alerts{0};
     std::atomic<std::uint64_t> allocs{0};
     std::atomic<std::uint64_t> alloc_bytes{0};
     std::atomic<std::uint64_t> session{0};
@@ -151,7 +139,6 @@ class FlightRecorder {
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> head_{0};  ///< next record serial
-  std::atomic<std::uint64_t> alerts_{0};
 
   mutable Mutex dump_mu_;
   std::string dump_dir_ APDS_GUARDED_BY(dump_mu_);
@@ -203,7 +190,6 @@ class RequestScope {
   ContextBegin begin_;
   TraceSpan span_;
   RequestRecord record_;
-  std::uint64_t alerts_before_ = 0;
   std::uint64_t allocs_before_ = 0;       ///< thread alloc counters at open
   std::uint64_t alloc_bytes_before_ = 0;
   RequestScope* prev_ = nullptr;  ///< enclosing scope on this thread

@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "common/parse_num.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/sampling_profiler.h"
@@ -83,8 +82,8 @@ ObsOptions parse_obs_flags(int& argc, char** argv) {
 
 const char* obs_flags_help() {
   return "  --obs-dir <dir>     trace + profile the run; write trace.json,\n"
-         "                      metrics.json, health.json, flight.json,\n"
-         "                      profile.json and profile.folded into <dir>\n"
+         "                      metrics.json, flight.json, profile.json\n"
+         "                      and profile.folded into <dir>\n"
          "                      (read them with tools/apds_report <dir>)\n"
          "  --log-level <lvl>   debug|info|warn|error|off\n"
          "  --threads <n>       thread-pool width (1 = serial; default\n"
@@ -173,11 +172,6 @@ ObsSession::~ObsSession() {
     collector.print_aggregate(std::cout);
 
     MetricsRegistry::instance().write_json_file(in_dir("metrics.json"));
-    const HealthSnapshot snap = HealthMonitor::instance().snapshot();
-    snap.write_json_file(in_dir("health.json"));
-    if (!snap.alerts.empty())
-      std::cout << "health: " << snap.alerts.size()
-                << " alert(s) raised during this run\n";
     FlightRecorder::instance().dump();  // <dir>/flight.json
     std::cout << "observability artifacts written to " << dir.string()
               << " (read them with tools/apds_report " << dir.string()

@@ -4,10 +4,9 @@
 //                       profiler, hardware counter regions); on exit write
 //                       into <dir> (created when missing) trace.json
 //                       (Chrome trace; the p50/p95 span table is printed
-//                       too), metrics.json, health.json (calibration,
-//                       drift, alerts), flight.json (last N requests;
-//                       flight.alert.json at each alert), profile.json and
-//                       profile.folded (flamegraph.pl input).
+//                       too), metrics.json, flight.json (last N
+//                       requests), profile.json and profile.folded
+//                       (flamegraph.pl input).
 //                       `tools/apds_report <dir>` reads them back.
 //   --log-level <lvl>   debug | info | warn | error | off
 //   --threads <n>       width of the global thread pool (1 = serial).
@@ -62,7 +61,7 @@ bool only_obs_flags(int argc, char** argv);
 
 /// RAII wiring: with --obs-dir, creates the directory (InvalidArgument
 /// when the path exists but is not a directory), enables tracing and
-/// profiling and points the flight recorder's alert dumps at it; always
+/// profiling and points the flight recorder's dumps at it; always
 /// configures the global thread pool (--threads), inference precision
 /// (--precision) and kernel ISA tier (--kernel), publishes the
 /// `pool.threads`, `run.precision_f32` and `kernel.dispatch_backend`

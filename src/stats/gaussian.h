@@ -29,9 +29,8 @@ double normal_log_pdf(double x, double mu, double sigma);
 double gaussian_nll(double x, double mu, double var);
 
 /// Half-width z of the centered standard-normal interval with coverage
-/// `level`: P(|Z| <= z) = level. Requires 0 < level < 1. Shared by the
-/// offline calibration curve (metrics/calibration.h) and the streaming
-/// CalibrationMonitor (obs/monitor.h).
+/// `level`: P(|Z| <= z) = level. Requires 0 < level < 1. Used by the
+/// calibration curve (metrics/calibration.h).
 double central_interval_z(double level);
 
 /// Partial moments of X ~ N(mu, sigma^2) over the interval [a, b]

@@ -1,7 +1,7 @@
 // Flight recorder unit tests: ring wrap/ordering, seqlock snapshot
 // consistency under concurrent writers, JSON dump validity, the
 // RequestScope producer path (record contents, latency exemplar,
-// counters), alert attribution, and the SIGUSR1 dump request.
+// counters) and the SIGUSR1 dump request.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,20 +143,6 @@ TEST(FlightRecorder, RequestScopePublishesAnnotatedRecord) {
   EXPECT_TRUE(found);
 }
 
-TEST(FlightRecorder, AlertsDuringRequestAreCountedOnItsRecord) {
-  obs::FlightRecorder::instance().clear();
-  {
-    obs::RequestScope request;
-    obs::FlightRecorder::instance().on_alert();
-    obs::FlightRecorder::instance().on_alert();
-  }
-  const std::vector<obs::RequestRecord> snap =
-      obs::FlightRecorder::instance().snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].alerts, 2u);
-  EXPECT_EQ(obs::FlightRecorder::instance().alerts_raised(), 2u);
-}
-
 TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
   // ObsSession creates the --obs-dir directory; here the test does.
   const std::string dir = "flight_sigusr1_service_test";
@@ -174,17 +160,9 @@ TEST(FlightRecorder, RequestedDumpIsServicedByNextRecord) {
   EXPECT_TRUE(testing::json_valid(json));
   EXPECT_NE(json.find("\"request_id\":77"), std::string::npos);
 
-  // An alert dumps the same ring next to it, under its own name.
-  const std::string alert_path = dir + "/flight.alert.json";
-  std::remove(alert_path.c_str());
-  obs::FlightRecorder::instance().on_alert();
-  EXPECT_NE(read_file(alert_path).find("\"request_id\":77"),
-            std::string::npos);
-
   obs::FlightRecorder::instance().set_dump_dir("");
   obs::FlightRecorder::instance().clear();
   std::remove(path.c_str());
-  std::remove(alert_path.c_str());
 }
 
 TEST(FlightRecorder, HistogramExemplarLandsInItsBucketAndInJsonExport) {

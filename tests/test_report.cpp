@@ -65,14 +65,14 @@ const char* kTrace = R"({"traceEvents":[
 )";
 
 /// Records for both traced requests; request 7 allocated more.
-const char* kFlight = R"({"capacity":256,"completed":2,"alerts_raised":1,
+const char* kFlight = R"({"capacity":256,"completed":2,
 "requests":[
 {"request_id":9,"start_us":2000,"dur_ms":0.05,"layers_ms":[0.01],
  "n_layers":1,"input_mean":0.5,"input_absmax":0.5,"pred_mean":0.1,
- "pred_var":0.02,"alerts":0,"allocs":8,"alloc_bytes":1024},
+ "pred_var":0.02,"allocs":8,"alloc_bytes":1024},
 {"request_id":7,"start_us":10,"dur_ms":0.9,"layers_ms":[0.2,0.7],
  "n_layers":2,"input_mean":1.25,"input_absmax":4.5,"pred_mean":0.3,
- "pred_var":0.05,"alerts":1,"allocs":24,"alloc_bytes":4096}
+ "pred_var":0.05,"allocs":24,"alloc_bytes":4096}
 ]}
 )";
 
@@ -163,8 +163,8 @@ TEST_F(TraceReportTest, ReportsSlowestRequestsWithCriticalPathAndFlightJoin) {
   EXPECT_NE(leaf, std::string::npos) << out;
   EXPECT_LT(root, mid);
   EXPECT_LT(mid, leaf);
-  // Flight join: per-layer breakdown and the alert count made it in.
-  EXPECT_NE(out.find("alerts 1"), std::string::npos) << out;
+  // Flight join: the record line and the per-layer breakdown made it in.
+  EXPECT_NE(out.find("allocs 24 (4096 bytes)"), std::string::npos) << out;
   EXPECT_NE(out.find("0.2000 0.7000 ms"), std::string::npos) << out;
   // The span totals come last and, unlike the per-request view, count the
   // untagged span too.

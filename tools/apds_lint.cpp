@@ -622,11 +622,13 @@ void rule_perf_syscall(const MaskedSource& src, const std::string& rel,
     // `struct sigaction sa;` uses the type, not the call — still flagged:
     // installing any handler outside the profiling layer risks clobbering
     // the SIGPROF chain, so the type's presence is the signal we want.
-    emit(out, rel, src.line_of(at), "perf-syscall",
-         "'" + it->str() +
-             "' outside src/obs/perf_counters.* / sampling_profiler.*; "
-             "counter groups and profiling signal handlers are confined to "
-             "the profiling layer (one owner for SIGPROF and fd lifetime)");
+    std::string message = "'";
+    message += it->str();
+    message +=
+        "' outside src/obs/perf_counters.* / sampling_profiler.*; "
+        "counter groups and profiling signal handlers are confined to "
+        "the profiling layer (one owner for SIGPROF and fd lifetime)";
+    emit(out, rel, src.line_of(at), "perf-syscall", message);
   }
 }
 

@@ -81,7 +81,6 @@ struct FlightRecord {
   double input_absmax = 0.0;
   double pred_mean = 0.0;
   double pred_var = 0.0;
-  double alerts = 0.0;
   double allocs = 0.0;       ///< operator-new calls during the request
   double alloc_bytes = 0.0;  ///< bytes requested during the request
 };
@@ -126,7 +125,6 @@ std::vector<FlightRecord> load_flight(const std::string& path) {
     rec.input_absmax = number_or(r, "input_absmax", 0.0);
     rec.pred_mean = number_or(r, "pred_mean", 0.0);
     rec.pred_var = number_or(r, "pred_var", 0.0);
-    rec.alerts = number_or(r, "alerts", 0.0);
     rec.allocs = number_or(r, "allocs", 0.0);
     rec.alloc_bytes = number_or(r, "alloc_bytes", 0.0);
     if (const JsonValue* layers = r.find("layers_ms"))
@@ -221,10 +219,9 @@ void print_request(const Request& r, const std::vector<FlightRecord>& flight) {
       [&](const FlightRecord& f) { return f.request_id == r.id; });
   if (rec == flight.end()) return;
   std::printf("  flight record: dur %.4f ms, input mean %.4f absmax %.4f, "
-              "pred mean %.4f var %.4g, alerts %.0f, allocs %.0f "
-              "(%.0f bytes)\n",
+              "pred mean %.4f var %.4g, allocs %.0f (%.0f bytes)\n",
               rec->dur_ms, rec->input_mean, rec->input_absmax, rec->pred_mean,
-              rec->pred_var, rec->alerts, rec->allocs, rec->alloc_bytes);
+              rec->pred_var, rec->allocs, rec->alloc_bytes);
   if (!rec->layers_ms.empty()) {
     std::printf("  layers (flight):");
     for (double ms : rec->layers_ms) std::printf(" %.4f", ms);
